@@ -239,8 +239,15 @@ def report_tables() -> str:
         for kind in kinds:
             rate = bounds.upper_bound_leading(kind, n, 1, M, B)
             out.append(f"    {kind.value:12s} upper {rate:.6e}   gap {rate / lower:.6f}")
-        out.append(f"    gap of the matching layout: "
-                   f"{bounds.upper_bound_leading(bounds.best_layout(n), n, 1, M, B) / lower:.6f}")
+        best_gap = bounds.upper_bound_leading(bounds.best_layout(n), n, 1, M, B) / lower
+        out.append(f"    gap of the matching layout: {best_gap:.6f}")
+        if n in (2, 3):
+            for name, rate in bounds.REFERENCE_BOUNDS.items():
+                if name.endswith(f"_{n}d"):
+                    out.append(f"    prior {name[:-3]:26s} {rate(M, B):.6e}")
+            prior = bounds.prior_gap(n, M, B)
+            out.append(f"    prior gap (Leopold upper / lower) {prior:.6f}, "
+                       f"improved by {prior / best_gap:.6f}")
         out.append(f"    n-D column gap (n!)^(1/(n-1)) = {bounds.gap_ratio(n):.6f}")
         out.append("")
     return "\n".join(out)

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-COMPULSORY_CONSTANT = 2.0  # one read of the input + one write of the output, per point, /B
 
 
 class LayoutKind(enum.Enum):
@@ -42,31 +39,6 @@ _KIND_DIMS = {
     LayoutKind.HEX_3D: 3,
     LayoutKind.COLUMN_ND: None,
 }
-
-
-class Provenance(enum.Enum):
-    LOWER_BOUND = "lower_bound"
-    UPPER_BOUND_LAYOUT = "upper_bound_layout"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A single bound: leading constant of the non-compulsory term.
-
-    leading_constant is the coefficient of prod(k_i)/B; per_point_rate is the
-    same bound expressed per grid point (leading_constant / B).
-    """
-
-    leading_constant: float
-    compulsory_constant: float
-    per_point_rate: float
-    provenance: Provenance
-    layout: LayoutKind | None = None
-
-    def __post_init__(self):
-        for v in (self.leading_constant, self.compulsory_constant, self.per_point_rate):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError("bound values must be finite and >= 0")
 
 
 def lower_bound_constant(n: int, s: int, M: int) -> float:
@@ -122,32 +94,20 @@ def upper_bound_leading(layout: LayoutKind, n: int, s: int, M: int, B: int) -> f
     raise ValueError(f"unknown layout {layout}")
 
 
-def upper_bound_report(layout: LayoutKind, n: int, s: int, M: int, B: int) -> BoundReport:
-    rate = upper_bound_leading(layout, n, s, M, B)
-    return BoundReport(
-        leading_constant=rate * B,
-        compulsory_constant=COMPULSORY_CONSTANT,
-        per_point_rate=rate,
-        provenance=Provenance.UPPER_BOUND_LAYOUT,
-        layout=layout,
-    )
-
-
-def lower_bound_report(n: int, s: int, M: int, B: int) -> BoundReport:
-    const = lower_bound_constant(n, s, M)
-    return BoundReport(
-        leading_constant=const,
-        compulsory_constant=COMPULSORY_CONSTANT,
-        per_point_rate=const / B,
-        provenance=Provenance.LOWER_BOUND,
-    )
-
-
 def gap_ratio(n: int) -> float:
     """(n!)^(1/(n-1)): best-known upper bound over lower bound in n dimensions."""
     if n < 2:
         raise ValueError("need n >= 2")
     return math.factorial(n) ** (1.0 / (n - 1))
+
+
+def prior_gap(n: int, M: int, B: int) -> float:
+    """Leopold's upper bound over his lower bound (s = 1, n = 2 or 3).
+
+    The gap the paper closes in 2D and narrows to sqrt(2) in 3D.
+    """
+    upper = REFERENCE_BOUNDS[f"leopold_upper_{n}d"](M, B)
+    return upper / REFERENCE_BOUNDS[f"leopold_lower_{n}d"](M, B)
 
 
 def best_layout(n: int) -> LayoutKind:
@@ -160,7 +120,8 @@ def best_layout(n: int) -> LayoutKind:
 
 
 # Reference constants from prior work, per grid point with s=1 (used only by
-# the comparison report, never re-derived).
+# the comparison tables, never re-derived): Frumkin & Van der Wijngaart,
+# J. ACM 2002, and Leopold, ICCS 2002.
 REFERENCE_BOUNDS = {
     "frumkin_wijngaart_lower_2d": lambda M, B: (8.0 / 9.0) / (B * M),
     "frumkin_wijngaart_lower_3d": lambda M, B: (2.0 / math.sqrt(3.0)) / (B * math.sqrt(M)),

@@ -5,7 +5,6 @@ from __future__ import annotations
 from emstencil.bounds import LayoutKind
 from emstencil.grid import GridSpec, StencilSpec
 from emstencil.layouts.base import (
-    Derivation,
     Layout,
     Piece,
     SweepShapeSize,
@@ -35,7 +34,6 @@ def build_layout(
     grid: GridSpec,
     stencil: StencilSpec,
     cfg: MachineConfig,
-    derivation: Derivation = Derivation.CAPACITY_SEARCH,
 ) -> Layout:
     """Construct the banded layout for a configuration.
 
@@ -45,7 +43,7 @@ def build_layout(
     if want is not None and grid.n != want:
         raise ValueError(f"{kind.value} needs a {want}-D grid, got {grid.n}-D")
     stencil.validate_for(grid)
-    shape = sweep_shape_size(kind, grid.n, stencil.s, cfg.M, cfg.B, derivation)
+    shape = sweep_shape_size(kind, grid.n, stencil.s, cfg.M, cfg.B)
     geometry = _GEOMETRY[kind](grid, stencil, cfg, shape.m)
     return Layout(kind, grid, stencil, cfg, geometry, shape)
 
@@ -84,7 +82,6 @@ __all__ = [
     "LayoutKind",
     "Layout",
     "Piece",
-    "Derivation",
     "SweepShapeSize",
     "UnusableConfiguration",
     "WorkingBand",

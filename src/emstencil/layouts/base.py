@@ -11,7 +11,6 @@ the sweep direction, scan-ordered inside a plane.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -24,15 +23,9 @@ class UnusableConfiguration(Exception):
     """M too small (or B too large) for the layout's sweep shape to fit."""
 
 
-class Derivation(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    CAPACITY_SEARCH = "capacity_search"
-
-
 @dataclass(frozen=True)
 class SweepShapeSize:
     m: int
-    derivation: Derivation
 
 
 @dataclass
@@ -205,31 +198,5 @@ class Layout:
 
     # -- band decomposition views ------------------------------------------------
 
-    def band_of(self, x: Vertex, layer: str = "in"):
-        """Band classification of a vertex: ('core', band) or ('wing', bands)."""
-        key = self.geometry.classify(x) if layer == "in" else self.geometry.classify_out(x)
-        users = self._piece_by_key[(layer, key)].users
-        if layer == "in" and len(users) > 1:
-            return ("wing", users)
-        return ("core", users[0] if len(users) == 1 else users)
-
     def working_bands(self) -> list[WorkingBand]:
         return self.geometry.working_bands()
-
-    def export_csv(self) -> str:
-        """Deterministic `x1 .. xn,layer,band,block,offset` dump for golden tests."""
-        self.materialize()
-        lines = ["coords,layer,band,block,offset"]
-        from emstencil.grid import iter_vertices
-
-        for layer in ("in", "out"):
-            table = self._pos_in if layer == "in" else self._pos_out
-            for v in iter_vertices(self.grid):
-                pos = int(table[linearize(self.grid, v)])
-                band = self.band_of(v, layer)
-                tag = (
-                    f"core:{band[1]}" if band[0] == "core" else "wing:" + "|".join(map(str, band[1]))
-                )
-                coords = " ".join(map(str, v))
-                lines.append(f"{coords},{layer},{tag},{pos // self.B},{pos % self.B}")
-        return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from emstencil.bounds import LayoutKind
-from emstencil.layouts.base import Derivation, SweepShapeSize, UnusableConfiguration
+from emstencil.layouts.base import SweepShapeSize, UnusableConfiguration
 
 _TEMPLATE_KINDS = (LayoutKind.BALL_2D_IN_3D, LayoutKind.HEX_3D)
 
@@ -180,14 +180,7 @@ def capacity_search_m(kind: LayoutKind, n: int, s: int, M: int, B: int) -> int:
     return lo_ok
 
 
-def sweep_shape_size(
-    kind: LayoutKind,
-    n: int,
-    s: int,
-    M: int,
-    B: int,
-    derivation: Derivation = Derivation.CAPACITY_SEARCH,
-) -> SweepShapeSize:
+def sweep_shape_size(kind: LayoutKind, n: int, s: int, M: int, B: int) -> SweepShapeSize:
     """The sweep-shape parameter m for a configuration, or UnusableConfiguration."""
     want = kind.dimensions
     if want is not None and n != want:
@@ -196,12 +189,9 @@ def sweep_shape_size(
         raise UnusableConfiguration("n-D column layout supports 2 <= n <= 6")
     if kind in (LayoutKind.ROW_2D, LayoutKind.ROW_3D) and B < 2 * s:
         raise UnusableConfiguration("row layouts assume B >= 2s")
-    if derivation is Derivation.CLOSED_FORM:
-        m = closed_form_m(kind, n, s, M, B)
-    else:
-        m = capacity_search_m(kind, n, s, M, B)
+    m = capacity_search_m(kind, n, s, M, B)
     if m < 4 * s + 1:
         raise UnusableConfiguration(
             f"{kind.value}: M={M}, B={B}, s={s} leaves sweep shape m={m} < {4 * s + 1}"
         )
-    return SweepShapeSize(m=m, derivation=derivation)
+    return SweepShapeSize(m=m)

@@ -3,7 +3,7 @@
 These are the exact per-layout counting expressions that the asymptotic table
 rates are later simplified from, evaluated at the sweep-shape size m actually
 used.  They hold as hard ceilings for the measured counts because every
-simplification step in the derivation only drops nonnegative slack.
+step that simplifies them to the table rate only drops nonnegative slack.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class _PlanarBase(PrismGeometry):
         self.m = m
         self._build_template()
         self._enumerate_cells()
-        self._classify_cells()
+        self._key_cells()
 
     # ---- subclass hooks -------------------------------------------------------
 
@@ -62,9 +62,6 @@ class _PlanarBase(PrismGeometry):
         raise NotImplementedError
 
     def _delta_rel(self, delta3d, phase) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def plane_of(self, v: Vertex) -> int:
         raise NotImplementedError
 
     def cell_center(self, cell: Cell) -> tuple[int, int]:
@@ -180,16 +177,12 @@ class _PlanarBase(PrismGeometry):
     def _rank_width(self) -> int:
         return 4 * self.m + 6
 
-    def rank_of(self, p) -> int:
-        r, c = self.scan_rc(p)
-        return r * self._rank_width() + c
-
     # ---- cells ------------------------------------------------------------------
 
     def _enumerate_cells(self):
         raise NotImplementedError
 
-    def _classify_cells(self):
+    def _key_cells(self):
         """Per-cell pruned class -> piece-key mapping (phantom neighbors dropped)."""
         existing = set(self.bands)
         self._cell_keys: dict[Cell, list] = {}
@@ -425,18 +418,6 @@ class _PlanarBase(PrismGeometry):
             if self._cell_keys[cell][cid] == users
         )
 
-    def classify(self, x: Vertex):
-        tau = self.plane_of(x)
-        cell, p = self._cell_and_pos(x)
-        cid = self._pos_class[self.phase_of(tau)][p]
-        return (cell, self._cell_keys[cell][cid])
-
-    def classify_out(self, x: Vertex):
-        return self.classify(x)
-
-    def _cell_and_pos(self, x: Vertex):
-        raise NotImplementedError
-
     def working_bands(self):
         out = []
         for cell in self.bands:
@@ -491,9 +472,6 @@ class Ball2DIn3DGeometry(_PlanarBase):
 
     def _delta_rel(self, delta3d, phase):
         return (delta3d[1], delta3d[2])
-
-    def plane_of(self, v):
-        return v[0]
 
     def scan_rc(self, p):
         # diagonals of direction (1,-1): row = pa+pb, col = pa-pb
@@ -587,12 +565,6 @@ class Ball2DIn3DGeometry(_PlanarBase):
         ca, cb = self.cell_center(cell)
         return (tau, ca + p[0], cb + p[1])
 
-    def _cell_and_pos(self, x):
-        p = (x[1], x[2])
-        cell = self.resolve_cell(p)
-        ca, cb = self.cell_center(cell)
-        return cell, (p[0] - ca, p[1] - cb)
-
 
 # ---------------------------------------------------------------------------
 # Hexagonal aligned diagonal layout
@@ -643,9 +615,6 @@ class HexGeometry(_PlanarBase):
         )
         return (w[0], -w[2])
 
-    def plane_of(self, v):
-        return v[0] + v[1] + v[2]
-
     def scan_rc(self, p):
         # increasing z (= -b) first, then increasing y (= b - a): col = -a
         return (-p[1], -p[0])
@@ -665,15 +634,6 @@ class HexGeometry(_PlanarBase):
             base[1] + c3[1] + (p[1] - p[0]),
             base[2] + c3[2] - p[1],
         )
-
-    def _cell_and_pos(self, x):
-        tau = self.plane_of(x)
-        base = _center_path(tau)
-        w = (x[0] - base[0], x[1] - base[1], x[2] - base[2])
-        p = (w[0], -w[2])
-        cell = self.resolve_cell(p)
-        ca, cb = self.cell_center(cell)
-        return cell, (p[0] - ca, p[1] - cb)
 
     def _feasible(self, cell, tau) -> bool:
         """Does the clipped hexagon contain any in-grid position at plane tau?"""

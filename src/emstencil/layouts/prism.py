@@ -1,7 +1,7 @@
 """Prism-style banded geometries: sweep shapes swept plane by plane.
 
-A geometry owns the band tiling, the classification of every vertex into
-core/wing pieces (keyed by the set of working bands that need it), and the
+A geometry owns the band tiling, the core/wing pieces (keyed by the set of
+working bands that need them) with their vertices in storage order, and the
 per-step accounting the sweep runner consumes: how many elements of each piece
 sit on sweep plane tau, and (for Full fidelity) the actual vertices in scan
 order.
@@ -72,14 +72,6 @@ class PrismGeometry(ABC):
 
     @abstractmethod
     def iter_piece_vertices(self, layer: str, key: Hashable) -> Iterator[Vertex]:
-        ...
-
-    @abstractmethod
-    def classify(self, x: Vertex) -> Hashable:
-        """Input piece key of a vertex."""
-
-    @abstractmethod
-    def classify_out(self, x: Vertex) -> Hashable:
         ...
 
     @abstractmethod
@@ -278,36 +270,6 @@ class AxisColumnGeometry(PrismGeometry):
         for x1 in range(self.k1):
             for cross in self._iter_box(spans):
                 yield (x1,) + cross
-
-    def classify(self, x: Vertex):
-        key = []
-        for i, c in enumerate(x[1:]):
-            for zi, (lo, hi, _) in enumerate(self.zones[i]):
-                if lo <= c < hi:
-                    key.append(zi)
-                    break
-            else:
-                raise ValueError(f"coordinate {c} outside axis {i}")
-        return tuple(key)
-
-    def owner_band(self, x: Vertex):
-        band = []
-        for i, c in enumerate(x[1:]):
-            for j, (lo, hi) in enumerate(self.evals[i]):
-                if lo <= c < hi:
-                    band.append(j)
-                    break
-        return tuple(band)
-
-    def classify_out(self, x: Vertex):
-        band = self.owner_band(x)
-        combo = []
-        for i, c in enumerate(x[1:]):
-            for span in self._out_spans_axis(i, band[i]):
-                if span[0] <= c < span[1]:
-                    combo.append(span)
-                    break
-        return (band, tuple(combo))
 
     def working_bands(self):
         out = []
@@ -511,28 +473,6 @@ class Diag2DGeometry(PrismGeometry):
         for u in range(u0, u1 + 1):
             for _, vert in self._interval_vertices(u, v_int):
                 yield vert
-
-    def classify(self, x: Vertex):
-        v = x[0] - x[1]
-        for j in range(1, self.nb):
-            lo, hi = self._wing_v(j)
-            if lo <= v <= hi:
-                return ("w", (j - 1, j))
-        for j in range(self.nb):
-            lo, hi = self._core_v(j)
-            if lo <= v <= hi:
-                return ("c", j)
-        raise ValueError(f"vertex {x} not classified")
-
-    def classify_out(self, x: Vertex):
-        v = x[0] - x[1]
-        for j in range(self.nb):
-            e_lo, e_hi = self._eval_v(j)
-            if e_lo <= v <= e_hi:
-                for span in self._out_classes(j):
-                    if span[0] <= v <= span[1]:
-                        return (j, span)
-        raise ValueError(f"vertex {x} not out-classified")
 
     def working_bands(self):
         out = []

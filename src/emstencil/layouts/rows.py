@@ -31,8 +31,6 @@ class RowStream:
 class RowGeometry(AxisColumnGeometry):
     """Row-major input variant of the axis family (2D and 3D row layouts)."""
 
-    is_row_layout = True
-
     def __init__(self, grid: GridSpec, stencil: StencilSpec, cfg: MachineConfig, m: int):
         if cfg.B < 2 * stencil.s:
             raise ValueError("row layouts assume B >= 2s")

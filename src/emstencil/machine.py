@@ -179,16 +179,6 @@ class MachineConfig:
 
 
 @dataclass(frozen=True)
-class Address:
-    block_id: int
-    offset: int
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError("offset must be >= 0")
-
-
-@dataclass(frozen=True)
 class IoStats:
     compulsory_reads: int = 0
     noncompulsory_reads: int = 0
@@ -199,15 +189,6 @@ class IoStats:
     @property
     def total_noncompulsory(self) -> int:
         return self.noncompulsory_reads + self.noncompulsory_writes
-
-    @property
-    def total_io(self) -> int:
-        return (
-            self.compulsory_reads
-            + self.noncompulsory_reads
-            + self.compulsory_writes
-            + self.noncompulsory_writes
-        )
 
 
 class AddressSpace(Protocol):
@@ -285,8 +266,39 @@ class Machine:
     def footprint(self) -> int:
         return self._footprint
 
-    def is_output_block(self, b: int) -> bool:
-        return b >= self.space.n_input_blocks
+    def _fill_output(self, start_pos: int, count: int, op: str) -> bool:
+        """Record `count` evaluations at consecutive output positions.
+
+        The run must start at its first block's watermark and end within the
+        last block's occupancy; blocks it completes are marked full.  Returns
+        whether the last block was completed.
+        """
+        if count <= 0:
+            raise MachineError("count must be > 0")
+        B = self.cfg.B
+        first, first_off = divmod(start_pos, B)
+        end_pos = start_pos + count
+        last = (end_pos - 1) // B
+        end_off = (end_pos - 1) % B + 1
+        if first < self.space.n_input_blocks:
+            raise MachineError(f"{op} positions must lie in output blocks")
+        if self._out_full.overlaps(first, last + 1):
+            raise AlreadyEvaluated(f"output blocks in [{first},{last}] already complete")
+        mark = self._out_partial.get(first, 0)
+        if first_off != mark:
+            raise AlreadyEvaluated(f"block {first} watermark {mark} != {first_off}")
+        occ_last = self.space.block_occupancy(last)
+        if end_off > occ_last:
+            raise MachineError(f"{op} runs past block occupancy")
+        closes_last = end_off == occ_last
+        n_closed = (last - first) + closes_last
+        if n_closed:
+            self._out_partial.pop(first, None)
+            self._out_full.add(first, first + n_closed)
+        if not closes_last:
+            self._out_partial[last] = end_off
+        self._evaluated += count
+        return closes_last
 
     # -- external values (Full fidelity) -------------------------------------
 
@@ -432,46 +444,18 @@ class Machine:
     def eval_run(self, start_pos: int, count: int) -> None:
         """Bulk-evaluate `count` vertices at consecutive output positions.
 
-        Positions are block_id*B + offset and must advance each touched output
-        block exactly from its current watermark; input-side residency for bulk
-        runs is the sweep plan's contract, checked per vertex in Full fidelity.
+        Positions are block_id*B + offset, must lie in resident output blocks
+        and must advance each touched block exactly from its current
+        watermark.  CountOnly only: no values are computed and input residency
+        is not checked, so a Full machine refuses the instruction.
         """
-        if count <= 0:
-            raise MachineError("count must be > 0")
+        if self._ext is not None:
+            raise MachineError("eval_run is a CountOnly fast path; Full runs use eval_stencil")
         B = self.cfg.B
-        first = start_pos // B
-        first_off = start_pos % B
-        end_pos = start_pos + count
-        last = (end_pos - 1) // B
-        end_off = (end_pos - 1) % B + 1
-        if first < self.space.n_input_blocks:
-            raise MachineError("eval_run positions must lie in output blocks")
+        first, last = start_pos // B, (start_pos + count - 1) // B
         if not self._resident.covers(first, last + 1):
             raise MissingOutputSlot(f"output blocks [{first},{last}] not resident")
-        if self._out_full.overlaps(first, last + 1):
-            raise AlreadyEvaluated(f"output blocks in [{first},{last}] already complete")
-        if first_off != self._out_partial.get(first, 0):
-            raise AlreadyEvaluated(
-                f"block {first} watermark {self._out_partial.get(first, 0)} != {first_off}"
-            )
-        occ_last = self.space.block_occupancy(last)
-        if end_off > occ_last:
-            raise MachineError("eval_run runs past block occupancy")
-        if first == last:
-            if end_off == occ_last:
-                self._out_partial.pop(first, None)
-                self._out_full.add(first, first + 1)
-            else:
-                self._out_partial[first] = end_off
-        else:
-            # every block before `last` fills completely
-            self._out_partial.pop(first, None)
-            self._out_full.add(first, last)
-            if end_off == occ_last:
-                self._out_full.add(last, last + 1)
-            else:
-                self._out_partial[last] = end_off
-        self._evaluated += count
+        self._fill_output(start_pos, count, "eval_run")
         self._emit(f"EVALRUN {start_pos} {count}")
 
     def stream_out(self, start_pos: int, count: int) -> None:
@@ -485,55 +469,32 @@ class Machine:
         """
         if self._ext is not None:
             raise MachineError("stream_out is a CountOnly fast path; Full runs use scalars")
-        if count <= 0:
-            raise MachineError("count must be > 0")
         B = self.cfg.B
-        first = start_pos // B
-        first_off = start_pos % B
         end_pos = start_pos + count
-        last = (end_pos - 1) // B
-        end_off = (end_pos - 1) % B + 1
-        if first < self.space.n_input_blocks:
-            raise MachineError("stream_out positions must lie in output blocks")
-        if self._out_full.overlaps(first, last + 1):
-            raise AlreadyEvaluated(f"output blocks in [{first},{last}] already complete")
+        first, last = start_pos // B, (end_pos - 1) // B
         entry_open = first in self._resident
-        if entry_open:
-            if first_off != self._out_partial.get(first, 0):
-                raise AlreadyEvaluated(
-                    f"block {first} watermark {self._out_partial.get(first, 0)} != {first_off}"
-                )
-        elif first_off != 0 or self._out_partial.get(first, 0) != 0:
-            raise AlreadyEvaluated(f"block {first} not open at offset {first_off}")
+        if not entry_open and start_pos % B:
+            raise AlreadyEvaluated(f"block {first} not open at offset {start_pos % B}")
         if self._resident.overlaps(first + 1, last + 1):
             raise AlreadyResident(f"blocks in ({first},{last}] already resident")
-        occ_last = self.space.block_occupancy(last)
-        if end_off > occ_last:
-            raise MachineError("stream_out runs past block occupancy")
-        closes_last = end_off == occ_last
-        exit_open = not closes_last
         # one block in flight beyond the entry state
         peak = self._footprint + (0 if (entry_open and last == first) else B)
         if peak > self.cfg.M:
             raise CapacityExceeded(f"stream_out transient {peak} exceeds M={self.cfg.M}")
+        closes_last = self._fill_output(start_pos, count, "stream_out")
         if peak > self.max_footprint:
             self.max_footprint = peak
-        n_closed = (last - first) + (1 if closes_last else 0)
+        n_closed = (last - first) + closes_last
         if n_closed:
-            hi = first + n_closed
-            new = self._written_out.add(first, hi)
+            new = self._written_out.add(first, first + n_closed)
             self._cw += new
             self._ncw += n_closed - new
-            self._out_full.add(first, hi)
-            self._out_partial.pop(first, None)
         if entry_open:
             self._resident.remove(first, first + 1)
             self._footprint -= B
-        if exit_open:
-            self._out_partial[last] = end_off
+        if not closes_last:
             self._resident.add(last, last + 1)
             self._footprint += B
-        self._evaluated += count
         if self.trace is not None:
             pos = start_pos
             for b in range(first, last + 1):

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from emstencil.bounds import LayoutKind
-from emstencil.layouts.base import Layout, Piece, SweepShapeSize, WorkingBand
+from emstencil.layouts.base import Layout, Piece
 from emstencil.machine import Fidelity, IoStats, Machine
 
 _ROW_KINDS = (LayoutKind.ROW_2D, LayoutKind.ROW_3D)
@@ -27,31 +27,13 @@ _ROW_KINDS = (LayoutKind.ROW_2D, LayoutKind.ROW_3D)
 
 @dataclass(frozen=True)
 class SweepPlan:
+    """The layout kind a sweep was planned for; run_sweep checks it."""
+
     kind: LayoutKind
-    shape: SweepShapeSize
-    order: str
-    bands: tuple[WorkingBand, ...]
-
-
-_ORDERS = {
-    LayoutKind.ROW_2D: "x1",
-    LayoutKind.COLUMN_2D: "x1",
-    LayoutKind.DIAGONAL_2D: "x1,x2 alternating",
-    LayoutKind.ROW_3D: "x1",
-    LayoutKind.COLUMN_POLE_3D: "x1",
-    LayoutKind.BALL_2D_IN_3D: "x1",
-    LayoutKind.HEX_3D: "x1,x2,x3 alternating",
-    LayoutKind.COLUMN_ND: "x1",
-}
 
 
 def make_plan(layout: Layout) -> SweepPlan:
-    return SweepPlan(
-        kind=layout.kind,
-        shape=layout.shape,
-        order=_ORDERS[layout.kind],
-        bands=tuple(layout.working_bands()),
-    )
+    return SweepPlan(layout.kind)
 
 
 def run_sweep(plan: SweepPlan, machine: Machine, layout: Layout) -> IoStats:
@@ -63,6 +45,48 @@ def run_sweep(plan: SweepPlan, machine: Machine, layout: Layout) -> IoStats:
     else:
         _run_prism(machine, layout)
     return machine.stats()
+
+
+# ---------------------------------------------------------------------------
+# output streams (both runners)
+# ---------------------------------------------------------------------------
+
+
+class _OutUse:
+    __slots__ = ("piece", "pos")
+
+    def __init__(self, piece: Piece):
+        self.piece = piece
+        self.pos = 0
+
+
+def _eval_vertex(machine: Machine, out: _OutUse, vertex, B: int) -> None:
+    """Evaluate one vertex into the next slot of its output piece, allocating
+    the slot's block at its first slot and writing it back once the block or
+    the piece is full."""
+    pos = out.piece.start_block * B + out.pos
+    if pos % B == 0:
+        machine.allocate(pos // B)
+    machine.eval_stencil(vertex)
+    out.pos += 1
+    if (pos + 1) % B == 0 or out.pos == out.piece.n_elems:
+        machine.evict(pos // B, write_back=True)
+
+
+def _stream_outputs(machine: Machine, outs, evals, B: int) -> None:
+    """CountOnly: evaluate one step's runs, evals[i] slots of output piece i."""
+    for out, n in zip(outs, evals):
+        if n:
+            machine.stream_out(out.piece.start_block * B + out.pos, n)
+            out.pos += n
+
+
+def _check_filled(band, outs) -> None:
+    for out in outs:
+        if out is not None and out.pos != out.piece.n_elems:
+            raise AssertionError(
+                f"band {band} wrote {out.pos}/{out.piece.n_elems} of {out.piece.key}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +107,7 @@ class _InUse:
         self.plane_counts: dict[int, int] = {}
 
 
-class _OutUse:
-    __slots__ = ("piece", "pos")
-
-    def __init__(self, piece: Piece):
-        self.piece = piece
-        self.pos = 0
-
-
-def _use_prefix(geo, layout, key, first_step: int) -> int:
+def _use_prefix(geo, key, first_step: int) -> int:
     """Elements of a piece on planes before the band's first step."""
     lo, hi = geo.piece_planes(key)
     if lo >= first_step:
@@ -117,7 +133,7 @@ def _run_prism(machine: Machine, layout: Layout) -> None:
                 uses.append(None)
                 continue
             wb = piece.is_shared and piece.users[0] == band
-            prefix = _use_prefix(geo, layout, key, steps.start)
+            prefix = _use_prefix(geo, key, steps.start)
             uses.append(_InUse(piece, wb, prefix, B))
         outs = [
             _OutUse(p) if (p := layout.maybe_piece("out", k)) is not None else None
@@ -154,11 +170,7 @@ def _run_prism(machine: Machine, layout: Layout) -> None:
                     if n:
                         use.plane_counts[tau] = n
                         _advance(machine, use, n, B)
-                for out, n in zip(outs, evals):
-                    if n:
-                        base = out.piece.start_block * B
-                        machine.stream_out(base + out.pos, n)
-                        out.pos += n
+                _stream_outputs(machine, outs, evals, B)
         # flush
         for use in uses:
             if use is not None and use.blk_hi > use.blk_lo:
@@ -167,11 +179,7 @@ def _run_prism(machine: Machine, layout: Layout) -> None:
                     use.piece.start_block + use.blk_hi,
                     use.wb,
                 )
-        for out in outs:
-            if out is not None and out.pos != out.piece.n_elems:
-                raise AssertionError(
-                    f"band {band} wrote {out.pos}/{out.piece.n_elems} of {out.piece.key}"
-                )
+        _check_filled(band, outs)
 
 
 def _advance(machine: Machine, use: _InUse, n: int, B: int) -> None:
@@ -217,16 +225,7 @@ def _fine_step(machine, layout, uses, outs, core_idx, detail, window, tau, old, 
             while retire_ptr < len(old_elems) and old_elems[retire_ptr][0] < rank - reach:
                 _retire(machine, core, 1, B)
                 retire_ptr += 1
-        out = outs[oi]
-        base = out.piece.start_block * B
-        pos = base + out.pos
-        blk = pos // B
-        if pos % B == 0:
-            machine.allocate(blk)
-        machine.eval_stencil(vertex)
-        out.pos += 1
-        if (base + out.pos) % B == 0 or out.pos == out.piece.n_elems:
-            machine.evict(blk, write_back=True)
+        _eval_vertex(machine, outs[oi], vertex, B)
     while load_ptr < len(new_elems):
         _advance(machine, core, 1, B)
         load_ptr += 1
@@ -283,24 +282,10 @@ def _run_rows(machine: Machine, layout: Layout) -> None:
             te = tau - s
             if 0 <= te < k1:
                 if full:
-                    detail = geo.step_detail(band, tau)
-                    for _, vertex, oi in detail.evals:
-                        out = outs[oi]
-                        base = out.piece.start_block * B
-                        pos = base + out.pos
-                        if pos % B == 0:
-                            machine.allocate(pos // B)
-                        machine.eval_stencil(vertex)
-                        out.pos += 1
-                        if (base + out.pos) % B == 0 or out.pos == out.piece.n_elems:
-                            machine.evict(pos // B, write_back=True)
+                    for _, vertex, oi in geo.step_detail(band, tau).evals:
+                        _eval_vertex(machine, outs[oi], vertex, B)
                 else:
-                    _, evals = geo.step_counts(band, tau)
-                    for out, n in zip(outs, evals):
-                        if n:
-                            base = out.piece.start_block * B
-                            machine.stream_out(base + out.pos, n)
-                            out.pos += n
+                    _stream_outputs(machine, outs, geo.step_counts(band, tau)[1], B)
         # flush: scheduled evictions beyond the last step, then current blocks
         for t in sorted(pending):
             for blk, flag in pending[t]:
@@ -308,9 +293,7 @@ def _run_rows(machine: Machine, layout: Layout) -> None:
         last_bi = (k1 - 1) // B
         for st, base in zip(streams, bases):
             machine.evict(base + last_bi, wb[st.use_index])
-        for out in outs:
-            if out.pos != out.piece.n_elems:
-                raise AssertionError(f"band {band} output underfilled: {out.piece.key}")
+        _check_filled(band, outs)
 
 
 # ---------------------------------------------------------------------------

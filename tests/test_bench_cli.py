@@ -136,3 +136,4 @@ def test_cli_tables(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out
     assert "gap" in out and "hex3d" in out
+    assert "prior gap (Leopold upper / lower) 4.000000, improved by 4.000000" in out

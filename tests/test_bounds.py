@@ -7,9 +7,9 @@ from emstencil.bounds import (
     best_layout,
     gap_ratio,
     lower_bound_constant,
+    prior_gap,
     round_quantities,
     upper_bound_leading,
-    upper_bound_report,
 )
 
 REL = 1e-12
@@ -104,7 +104,13 @@ def test_dimension_mismatch_rejected():
         upper_bound_leading(LayoutKind.DIAGONAL_2D, 3, 1, 64, 4)
 
 
-def test_report_fields():
-    rep = upper_bound_report(LayoutKind.COLUMN_2D, 2, 1, 1024, 8)
-    assert close(rep.per_point_rate * 8, rep.leading_constant)
-    assert rep.compulsory_constant == 2.0
+def test_prior_gap_closed_in_2d_and_narrowed_in_3d():
+    # at the display constants of `emstencil tables`: the 2D layout closes
+    # Leopold's gap of 4, the hexagonal layout improves his 3D gap by 2 sqrt(3B)
+    M, B = 4096, 16
+    gap_2d = upper_bound_leading(best_layout(2), 2, 1, M, B) / (lower_bound_constant(2, 1, M) / B)
+    gap_3d = upper_bound_leading(best_layout(3), 3, 1, M, B) / (lower_bound_constant(3, 1, M) / B)
+    assert close(prior_gap(2, M, B), 4.0)
+    assert close(gap_2d, 1.0)
+    assert close(gap_3d, math.sqrt(2.0))
+    assert close(prior_gap(3, M, B) / gap_3d, 2.0 * math.sqrt(3.0) * math.sqrt(B))

@@ -1,7 +1,7 @@
 import pytest
 
 from emstencil.bounds import LayoutKind
-from emstencil.grid import GridSpec, StencilSpec, iter_vertices, vertex_count
+from emstencil.grid import GridSpec, StencilSpec, vertex_count
 from emstencil.layouts import (
     UnusableConfiguration,
     build_layout,
@@ -99,6 +99,27 @@ def test_address_map_bijection(kind):
     # input addresses below the output range, outputs above
     assert int(layout._pos_in.max()) < layout.n_input_blocks * layout.B
     assert int(layout._pos_out.min()) >= layout.n_input_blocks * layout.B
+    # deterministic: a second build yields the same address tables
+    again = build_small(kind)
+    again.materialize()
+    assert (again._pos_in == layout._pos_in).all()
+    assert (again._pos_out == layout._pos_out).all()
+    # every vertex is an input of the band that evaluates it, and the origin
+    # sits in that band's core piece
+    geo = layout.geometry
+    in_users = {
+        v: p.users
+        for p in layout.pieces if p.layer == "in"
+        for v in geo.iter_piece_vertices("in", p.key)
+    }
+    origin = (0,) * layout.grid.n
+    for p in layout.pieces:
+        if p.layer == "out":
+            for v in geo.iter_piece_vertices("out", p.key):
+                assert p.users[0] in in_users[v]
+                if v == origin:
+                    core = geo.core_in_key(p.users[0])
+                    assert origin in geo.iter_piece_vertices("in", core)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -119,19 +140,25 @@ def test_band_separation(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_wing_pieces_are_working_band_overlaps(kind):
+    # an input piece is loaded by exactly the bands it names as users: one
+    # band for its core, two or more for a shared wing
     layout = build_small(kind)
-    for v in iter_vertices(layout.grid):
-        tag, who = layout.band_of(v, "in")
-        if tag == "wing":
-            assert len(who) >= 2
+    geo = layout.geometry
+    in_pieces = [p for p in layout.pieces if p.layer == "in"]
+    for band in geo.bands:
+        loaded = {k for k in geo.band_in_keys(band) if layout.maybe_piece("in", k)}
+        assert loaded == {p.key for p in in_pieces if band in p.users}
+    for p in in_pieces:
+        assert len(set(p.users)) == len(p.users)
+        if not p.is_shared:
+            assert p.key == geo.core_in_key(p.users[0])
     # sanity: some wings exist in every small config
-    assert any(p.is_shared for p in layout.pieces)
+    assert any(p.is_shared for p in in_pieces)
 
 
 def test_diag2d_per_row_band_widths():
     # interior band, interior row: 2m core + wing vertices per row,
     # split 2m-4s core and 2s per wing
-    sides, M, B = small_config(LayoutKind.DIAGONAL_2D)
     g = GridSpec((64, 64))
     layout = build_layout(LayoutKind.DIAGONAL_2D, g, StencilSpec(1), MachineConfig(M=64, B=4))
     geo = layout.geometry
@@ -140,11 +167,11 @@ def test_diag2d_per_row_band_widths():
     row = g.sides[1] // 2
     in_band = [x1 for x1 in range(g.sides[0])
                if geo.origins[j] <= x1 - row <= geo.origins[j] + 2 * m - 1]
-    if len(in_band) == 2 * m:  # fully interior
-        core = [x1 for x1 in in_band if layout.band_of((x1, row), "in")[0] == "core"]
-        assert len(core) == 2 * m - 4 * s
-        lo, hi = geo._wing_v(j), geo._wing_v(j + 1)
-        assert len(in_band) - len(core) == 4 * s
+    assert len(in_band) == 2 * m  # fully interior
+    core_piece = set(geo.iter_piece_vertices("in", ("c", j)))
+    core = [x1 for x1 in in_band if (x1, row) in core_piece]
+    assert len(core) == 2 * m - 4 * s
+    assert len(in_band) - len(core) == 4 * s
 
 
 def test_hex_cross_section_counts():
@@ -260,15 +287,22 @@ def test_hexagonal_projection_examples():
 # ------------------------------------------------------------- export golden
 
 def test_export_csv_golden():
+    # the (block, offset) of every vertex in the 4x6 column2d layout, as the
+    # former `Layout.export_csv` dump listed them: inputs row by row, outputs
+    # with column 0..1 of each row first, then the rest of the band
     g = GridSpec((4, 6))
     layout = build_layout(LayoutKind.COLUMN_2D, g, StencilSpec(1), MachineConfig(M=64, B=2))
-    text = layout.export_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "coords,layer,band,block,offset"
-    assert len(lines) == 1 + 2 * 24
-    # deterministic: same build, same dump
-    layout2 = build_layout(LayoutKind.COLUMN_2D, g, StencilSpec(1), MachineConfig(M=64, B=2))
-    assert layout2.export_csv() == text
-    # spot entries: vertex (0,0) lives in the first band's core, block range ok
-    first = [l for l in lines if l.startswith("0 0,in,")]
-    assert len(first) == 1
+    layout.materialize()
+    assert (layout.B, layout.n_input_blocks, layout.n_blocks) == (2, 12, 24)
+    assert [int(p) for p in layout._pos_in] == list(range(24))
+    assert [int(p) for p in layout._pos_out] == [
+        24, 25, 32, 33, 34, 35,
+        26, 27, 36, 37, 38, 39,
+        28, 29, 40, 41, 42, 43,
+        30, 31, 44, 45, 46, 47,
+    ]
+    # one band: (0, 0) lies in its core piece, which holds every vertex
+    geo = layout.geometry
+    (band,) = layout.working_bands()
+    core = set(geo.iter_piece_vertices("in", geo.core_in_key(band.key)))
+    assert (0, 0) in core and len(core) == 24

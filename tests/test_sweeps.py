@@ -5,7 +5,7 @@ from emstencil.bounds import LayoutKind
 from emstencil.grid import GridSpec, StencilSpec, vertex_count
 from emstencil.layouts import build_layout
 from emstencil.layouts.ceilings import noncompulsory_ceiling
-from emstencil.machine import Fidelity, Machine, MachineConfig, replay
+from emstencil.machine import Fidelity, IoStats, Machine, MachineConfig, MachineError, replay
 from emstencil.sweeps import (
     make_plan,
     materialize_input,
@@ -22,6 +22,34 @@ CONFIGS = {
     LayoutKind.BALL_2D_IN_3D: ((12, 24, 24), 512, 4, 1),
     LayoutKind.HEX_3D: ((16, 16, 16), 600, 4, 1),
     LayoutKind.COLUMN_ND: ((8, 12, 12, 12), 2048, 4, 1),
+}
+
+CONFIGS_S2 = {
+    LayoutKind.COLUMN_2D: ((40, 33), 200, 8, 2),
+    LayoutKind.DIAGONAL_2D: ((37, 29), 200, 8, 2),
+    LayoutKind.ROW_2D: ((32, 40), 420, 8, 2),
+    LayoutKind.HEX_3D: ((14, 18, 16), 2600, 8, 2),
+    LayoutKind.BALL_2D_IN_3D: ((10, 30, 26), 2048, 8, 2),
+}
+
+# (kind, s) -> (m, counters, CountOnly peak, Full peak) of the configs above.
+# These are the numbers the laboratory reports; a change to any of them is a
+# change of result, not a refactoring.  The two fidelities count identically
+# but retire planes in a different order, so their peaks are pinned apart.
+GOLDEN = {
+    (LayoutKind.ROW_2D, 1): (28, IoStats(180, 12, 180, 12, 720), 180, 180),
+    (LayoutKind.COLUMN_2D, 1): (13, IoStats(144, 12, 144, 12, 576), 52, 52),
+    (LayoutKind.DIAGONAL_2D, 1): (15, IoStats(131, 9, 131, 9, 520), 48, 52),
+    (LayoutKind.ROW_3D, 1): (10, IoStats(1200, 528, 1200, 432, 4800), 760, 760),
+    (LayoutKind.COLUMN_POLE_3D, 1): (12, IoStats(1600, 336, 1600, 304, 6400), 304, 380),
+    (LayoutKind.BALL_2D_IN_3D, 1): (7, IoStats(1728, 543, 1728, 447, 6912), 360, 408),
+    (LayoutKind.HEX_3D, 1): (6, IoStats(1043, 213, 1043, 199, 4096), 456, 528),
+    (LayoutKind.COLUMN_ND, 1): (8, IoStats(3456, 2032, 3456, 1456, 13824), 1044, 1432),
+    (LayoutKind.COLUMN_2D, 2): (31, IoStats(165, 20, 165, 20, 1320), 176, 176),
+    (LayoutKind.DIAGONAL_2D, 2): (31, IoStats(135, 3, 136, 3, 1073), 152, 152),
+    (LayoutKind.ROW_2D, 2): (28, IoStats(160, 16, 160, 16, 1280), 376, 376),
+    (LayoutKind.HEX_3D, 2): (10, IoStats(506, 9, 506, 11, 4032), 800, 856),
+    (LayoutKind.BALL_2D_IN_3D, 2): (11, IoStats(995, 408, 995, 320, 7800), 1616, 1776),
 }
 
 
@@ -151,22 +179,9 @@ def test_full_torus_fit_zero_noncompulsory_machine_level():
     assert ok and stats.noncompulsory_reads == 0 and stats.noncompulsory_writes == 0
 
 
-@pytest.mark.parametrize("kind,s", [
-    (LayoutKind.COLUMN_2D, 2),
-    (LayoutKind.DIAGONAL_2D, 2),
-    (LayoutKind.ROW_2D, 2),
-    (LayoutKind.HEX_3D, 2),
-    (LayoutKind.BALL_2D_IN_3D, 2),
-])
+@pytest.mark.parametrize("kind,s", [(kind, 2) for kind in CONFIGS_S2])
 def test_sweep_correctness_s2(kind, s):
-    sides, M = {
-        LayoutKind.COLUMN_2D: ((40, 33), 200),
-        LayoutKind.DIAGONAL_2D: ((37, 29), 200),
-        LayoutKind.ROW_2D: ((32, 40), 420),
-        LayoutKind.HEX_3D: ((14, 18, 16), 2600),
-        LayoutKind.BALL_2D_IN_3D: ((10, 30, 26), 2048),
-    }[kind]
-    B = 8
+    sides, M, B, _ = CONFIGS_S2[kind]
     layout, mc, mf = run_both(kind, sides, M, B, s)
     stats_c, ok_c = mc.run_report()
     stats_f, ok_f = mf.run_report()
@@ -174,3 +189,28 @@ def test_sweep_correctness_s2(kind, s):
     eq, mismatch = run_oracle_compare(mf, layout)
     assert eq, f"first mismatch at {mismatch}"
     assert stats_c.total_noncompulsory <= noncompulsory_ceiling(layout)
+
+
+@pytest.mark.parametrize("kind,s", list(GOLDEN))
+def test_golden_counts(kind, s):
+    sides, M, B, _ = (CONFIGS if s == 1 else CONFIGS_S2)[kind]
+    layout, mc, mf = run_both(kind, sides, M, B, s)
+    m, stats, peak_count_only, peak_full = GOLDEN[kind, s]
+    assert layout.shape.m == m
+    assert mc.stats() == stats
+    assert mf.stats() == stats
+    assert mc.max_footprint == peak_count_only
+    assert mf.max_footprint == peak_full
+
+
+def test_count_only_trace_does_not_replay_under_full():
+    # bulk EVALRUN records carry no values: a Full machine must refuse them
+    # instead of reporting outputs it never computed as complete
+    sides, M, B, s = CONFIGS[LayoutKind.DIAGONAL_2D]
+    cfg = MachineConfig(M=M, B=B)
+    layout = build_layout(LayoutKind.DIAGONAL_2D, GridSpec(sides), StencilSpec(s), cfg)
+    trace: list[str] = []
+    run_sweep(make_plan(layout), Machine(cfg, layout, Fidelity.COUNT_ONLY, trace=trace), layout)
+    assert any(rec.startswith("EVALRUN ") for rec in trace)
+    with pytest.raises(MachineError):
+        replay(trace, cfg, layout, Fidelity.FULL)
