@@ -10,13 +10,13 @@ piece kinds of each band.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from emstencil.grid import GridSpec, StencilSpec, Vertex, l1_offsets
 from emstencil.layouts.base import WorkingBand
-from emstencil.layouts.prism import PrismGeometry, StepDetail
+from emstencil.layouts.prism import PrismGeometry
 from emstencil.machine import MachineConfig
 
 Cell = tuple[int, int]
@@ -362,33 +362,7 @@ class _PlanarBase(PrismGeometry):
                 evals[cid_to_oi[cid]] += n
         return loads, evals
 
-    def step_detail(self, band, tau) -> StepDetail:
-        per_cell: dict[Cell, list] = {}
-
-        def elems_for(cell):
-            got = per_cell.get(cell)
-            if got is None:
-                got = per_cell[cell] = self.plane_class_elements(cell, tau)
-            return got
-
-        in_elems = []
-        for key, cids, src in self._band_uses(band):
-            merged = []
-            for cid in cids:
-                merged.extend(elems_for(src)[cid])
-            merged.sort(key=lambda t: t[0])
-            in_elems.append(merged)
-        eval_elems = self.plane_class_elements(band, tau - self.s)
-        _, cid_to_oi = self._band_out_map(band)
-        evals = []
-        for cid in range(self.n_classes):
-            oi = cid_to_oi[cid]
-            for rank, vert in eval_elems[cid]:
-                evals.append((rank, vert, oi))
-        evals.sort(key=lambda t: t[0])
-        return StepDetail(in_elems, evals)
-
-    def iter_piece_vertices(self, layer, key):
+    def piece_elements(self, layer, key):
         cell, users = key
         t0, t1 = self.plane_range(cell)
         cids = [
@@ -396,12 +370,7 @@ class _PlanarBase(PrismGeometry):
         ]
         for tau in range(t0, t1 + 1):
             elems = self.plane_class_elements(cell, tau)
-            merged = []
-            for cid in cids:
-                merged.extend(elems[cid])
-            merged.sort(key=lambda t: t[0])
-            for _, vert in merged:
-                yield vert
+            yield from heapq.merge(*(elems[cid] for cid in cids))
 
     def core_in_key(self, band):
         return (band, (band,))
@@ -519,22 +488,6 @@ class Ball2DIn3DGeometry(_PlanarBase):
         if got is None:
             got = cache[cell] = super().plane_class_counts(cell, t0)
         return got
-
-    def piece_catalog(self):
-        in_totals: dict = {}
-        users_of: dict = {}
-        k1 = self.grid.sides[0]
-        for cell in self.bands:
-            keys = self._cell_keys[cell]
-            for cid, n in enumerate(self.plane_class_counts(cell, 0)):
-                if n == 0:
-                    continue
-                key = (cell, keys[cid])
-                in_totals[key] = in_totals.get(key, 0) + n * k1
-                users_of[key] = keys[cid]
-        in_pieces = [(key, users_of[key], n) for key, n in sorted(in_totals.items())]
-        out_pieces = [(key, (key[0],), n) for key, n in sorted(in_totals.items())]
-        return in_pieces, out_pieces
 
     def row_clip(self, cell, tau, row):
         # row r holds positions (pa, pb) with pa+pb = r, col = pa-pb; the l1

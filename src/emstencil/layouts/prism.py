@@ -1,10 +1,14 @@
 """Prism-style banded geometries: sweep shapes swept plane by plane.
 
 A geometry owns the band tiling, the core/wing pieces (keyed by the set of
-working bands that need them) with their vertices in storage order, and the
-per-step accounting the sweep runner consumes: how many elements of each piece
-sit on sweep plane tau, and (for Full fidelity) the actual vertices in scan
-order.
+working bands that need them), and two views of them that the sweep runner
+consumes under both fidelities: per step, how many elements of each piece sit
+on sweep plane tau (``step_counts``); per piece, its (rank, vertex) elements
+in storage order (``piece_elements``).  Storage order is plane by plane and,
+within a plane, by increasing in-plane scan rank, so cutting a piece's stream
+by the step counts yields each step's plane in scan order.  (Row layouts
+store their input pieces row by row instead; their runner cuts only the
+output streams.)
 
 This module has the interval-based geometries: the axis-aligned column family
 (2D column, 3D column/pole, n-D column) and the 2D block-aligned diagonal.
@@ -16,20 +20,11 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Hashable, Iterator
 
 from emstencil.grid import GridSpec, StencilSpec, Vertex
 from emstencil.layouts.base import WorkingBand, axis_band_origins
 from emstencil.machine import MachineConfig
-
-
-@dataclass
-class StepDetail:
-    """Full-fidelity step payload: plane elements and evals in scan order."""
-
-    in_elems: list[list[tuple[int, Vertex]]]  # per in-use: [(rank, vertex)]
-    evals: list[tuple[int, Vertex, int]]  # (rank, vertex, out_use index)
 
 
 class PrismGeometry(ABC):
@@ -67,12 +62,11 @@ class PrismGeometry(ABC):
         """(loads per in-key for plane tau, evals per out-key for shape tau-s)."""
 
     @abstractmethod
-    def step_detail(self, band, tau) -> StepDetail:
-        ...
+    def piece_elements(self, layer: str, key: Hashable) -> Iterator[tuple[int, Vertex]]:
+        """(in-plane scan rank, vertex) of a piece, in storage order."""
 
-    @abstractmethod
     def iter_piece_vertices(self, layer: str, key: Hashable) -> Iterator[Vertex]:
-        ...
+        return (vertex for _, vertex in self.piece_elements(layer, key))
 
     @abstractmethod
     def working_bands(self) -> list[WorkingBand]:
@@ -243,33 +237,12 @@ class AxisColumnGeometry(PrismGeometry):
     def _iter_box(spans):
         return itertools.product(*(range(a, b) for a, b in spans))
 
-    def step_detail(self, band, tau) -> StepDetail:
-        info = self._band(band)
-        in_elems = []
-        for key in info["in"]:
-            elems = []
-            if 0 <= tau < self.k1:
-                for cross in self._iter_box(self._zone_spans(key)):
-                    elems.append((self._rank(cross), (tau,) + cross))
-            in_elems.append(elems)
-        evals = []
-        te = tau - self.s
-        if 0 <= te < self.k1:
-            for oi, (_, spans) in enumerate(info["out"]):
-                for cross in self._iter_box(spans):
-                    evals.append((self._rank(cross), (te,) + cross, oi))
-            evals.sort(key=lambda t: t[0])
-        return StepDetail(in_elems, evals)
-
-    def iter_piece_vertices(self, layer, key):
-        if layer == "in":
-            spans = self._zone_spans(key)
-        else:
-            _, combo = key
-            spans = list(combo)
+    def piece_elements(self, layer, key):
+        spans = self._zone_spans(key) if layer == "in" else key[1]  # out key: (band, spans)
+        plane = [(self._rank(cross), cross) for cross in self._iter_box(spans)]
         for x1 in range(self.k1):
-            for cross in self._iter_box(spans):
-                yield (x1,) + cross
+            for rank, cross in plane:
+                yield rank, (x1,) + cross
 
     def working_bands(self):
         out = []
@@ -454,25 +427,11 @@ class Diag2DGeometry(PrismGeometry):
         for v in range(first, hi + 1, 2):
             yield v, ((u + v) // 2, (u - v) // 2)
 
-    def step_detail(self, band, tau) -> StepDetail:
-        in_elems = [
-            list(self._interval_vertices(tau, self._key_interval(key)))
-            for key in self.band_in_keys(band)
-        ]
-        evals = []
-        te = tau - self.s
-        for oi, span in enumerate(self._out_classes(band)):
-            for v, vert in self._interval_vertices(te, span):
-                evals.append((v, vert, oi))
-        evals.sort(key=lambda t: t[0])
-        return StepDetail(in_elems, evals)
-
-    def iter_piece_vertices(self, layer, key):
+    def piece_elements(self, layer, key):
         v_int = self._key_interval(key) if layer == "in" else key[1]
         u0, u1 = self._u_range(v_int)
         for u in range(u0, u1 + 1):
-            for _, vert in self._interval_vertices(u, v_int):
-                yield vert
+            yield from self._interval_vertices(u, v_int)
 
     def working_bands(self):
         out = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from emstencil.grid import GridSpec, StencilSpec
-from emstencil.layouts.prism import AxisColumnGeometry, StepDetail
+from emstencil.layouts.prism import AxisColumnGeometry
 from emstencil.machine import MachineConfig
 
 
@@ -47,14 +47,14 @@ class RowGeometry(AxisColumnGeometry):
                 out_pieces.append(((band, okey), (band,), self._width(spans) * self.k1))
         return in_pieces, out_pieces
 
-    def iter_piece_vertices(self, layer, key):
+    def piece_elements(self, layer, key):
         if layer == "out":
-            yield from super().iter_piece_vertices(layer, key)
+            yield from super().piece_elements(layer, key)
             return
-        spans = self._zone_spans(key)
-        for cross in self._iter_box(spans):
+        for cross in self._iter_box(self._zone_spans(key)):
+            rank = self._rank(cross)
             for x1 in range(self.k1):
-                yield (x1,) + cross
+                yield rank, (x1,) + cross
 
     def row_streams(self, band) -> list[RowStream]:
         """All x1-runs the band touches, with their piece-relative row ranks."""
@@ -66,9 +66,3 @@ class RowGeometry(AxisColumnGeometry):
             for rank, cross in enumerate(self._iter_box(spans)):
                 streams.append(RowStream(ui, rank, is_core, cross))
         return streams
-
-    def step_detail(self, band, tau) -> StepDetail:
-        # input plane lists are unused by the row runner; evals follow the
-        # same column-major order as the axis family
-        detail = super().step_detail(band, tau)
-        return StepDetail([[] for _ in detail.in_elems], detail.evals)

@@ -12,11 +12,15 @@ what lets billion-element CountOnly experiments run at desk speed while the
 scalar instruction path (used by Full fidelity, unit tests and trace replay)
 keeps per-vertex semantics.
 
-Instruction batching note: sweep drivers in CountOnly fidelity issue each
-step's trailing evictions before the leading loads, so the tracked footprint
-is max(entry, exit) for the step.  The element-interleaved order realized by
-Full fidelity peaks at most one block higher; capacity formulas in
-emstencil.layouts budget for that slack.
+Instruction batching note: the sweep drivers issue the same transfers under
+both fidelities, in a different order.  CountOnly batches each step as
+ranges: the core's stale plane is retired before the step's loads and the
+wings' stale planes after its evaluations.  Full loads and retires the core
+element by element, interleaved with the evaluations.  The two peak
+footprints therefore differ, in either direction (columnnd 8x12^3, M=2048,
+B=4: CountOnly 1340, Full 1432; one-band diagonal2d 8x8, M=189, B=8:
+CountOnly 40, Full 32).  Neither bounds the other; each run checks its own
+peak against M.
 """
 
 from __future__ import annotations

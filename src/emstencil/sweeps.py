@@ -7,16 +7,21 @@ Shared wing pieces are written back by their first user and re-read by every
 later one; core pieces are evicted clean; output blocks stream through,
 written back the moment they fill.
 
-CountOnly fidelity batches each step as range instructions (retire, load,
-stream out); Full fidelity expands the same schedule into per-vertex
-evaluations interleaved with the core piece's loads at stencil-reach
-granularity, which is what keeps the resident footprint inside M.
+Both fidelities step on the same per-step counts, ``geometry.step_counts``.
+CountOnly batches each step as range instructions (retire the core's stale
+plane, load, stream out, retire the wings' stale planes).  Full reads the
+step's vertices off the pieces' element streams (``piece_elements``, which
+are in storage order): the core plane is the next ``loads[core]`` elements
+of the core stream, and the evaluations are the next ``evals[i]`` elements
+of each output stream, merged by in-plane rank.  It interleaves the core's
+loads and retirements with the evaluations at stencil-reach granularity.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from emstencil.bounds import LayoutKind
 from emstencil.layouts.base import Layout, Piece
@@ -53,11 +58,22 @@ def run_sweep(plan: SweepPlan, machine: Machine, layout: Layout) -> IoStats:
 
 
 class _OutUse:
-    __slots__ = ("piece", "pos")
+    __slots__ = ("piece", "pos", "elems")
 
-    def __init__(self, piece: Piece):
+    def __init__(self, piece: Piece, geo):
         self.piece = piece
         self.pos = 0
+        self.elems = geo.piece_elements("out", piece.key)  # read by Full only
+
+
+def _step_evals(outs, evals):
+    """Full: one step's (rank, vertex, out index) in rank order, the next
+    evals[i] elements of output i's stream; ranks are unique in a band's plane."""
+    return heapq.merge(*(
+        [(rank, vertex, oi) for rank, vertex in islice(outs[oi].elems, n)]
+        for oi, n in enumerate(evals)
+        if n
+    ))
 
 
 def _eval_vertex(machine: Machine, out: _OutUse, vertex, B: int) -> None:
@@ -136,41 +152,39 @@ def _run_prism(machine: Machine, layout: Layout) -> None:
             prefix = _use_prefix(geo, key, steps.start)
             uses.append(_InUse(piece, wb, prefix, B))
         outs = [
-            _OutUse(p) if (p := layout.maybe_piece("out", k)) is not None else None
+            _OutUse(p, geo) if (p := layout.maybe_piece("out", k)) is not None else None
             for k in geo.band_out_keys(band)
         ]
         core_idx = in_keys.index(geo.core_in_key(band))
-        window = deque()  # (tau, core plane element list) for Full mode
+        core = uses[core_idx]  # None where a planar band's clip leaves no core
+        wings = [use for use in uses if use is not core and use is not None]
+        if full:
+            core_elems = geo.piece_elements("in", core.piece.key) if core else iter(())
+            window: dict[int, list] = {}  # tau -> core plane elements
         for tau in steps:
-            if full:
-                detail = geo.step_detail(band, tau)
-                loads = [len(e) for e in detail.in_elems]
-            else:
-                loads, evals = geo.step_counts(band, tau)
+            loads, evals = geo.step_counts(band, tau)
             # plane tau-2s is last used by this step's evaluations
             old = tau - 2 * s
+            # CountOnly loads the core plane whole and retires the core's stale
+            # plane first; Full interleaves both with the evaluations
+            if not full and core is not None and (n := core.plane_counts.pop(old, 0)):
+                _retire(machine, core, n, B)
+            for use, n in zip(uses, loads):
+                if n and not (full and use is core):
+                    use.plane_counts[tau] = n
+                    _advance(machine, use, n, B)
             if full:
-                _fine_step(machine, layout, uses, outs, core_idx, detail, window, tau, old, B)
-                for ui, use in enumerate(uses):
-                    if use is None or ui == core_idx:
-                        continue
-                    n = use.plane_counts.pop(old, 0)
-                    if n:
-                        _retire(machine, use, n, B)
+                new_elems = list(islice(core_elems, loads[core_idx]))
+                _fine_step(machine, geo.rank_reach, core, outs, evals,
+                           new_elems, window.pop(old, ()), B)
+                if new_elems:
+                    window[tau] = new_elems
             else:
-                # counts are unaffected by retiring one step earlier; the
-                # footprint trajectory stays below the Full-fidelity peak
-                for use in uses:
-                    if use is None:
-                        continue
-                    n = use.plane_counts.pop(old, 0)
-                    if n:
-                        _retire(machine, use, n, B)
-                for use, n in zip(uses, loads):
-                    if n:
-                        use.plane_counts[tau] = n
-                        _advance(machine, use, n, B)
                 _stream_outputs(machine, outs, evals, B)
+            # wing planes retire after the evaluations in both fidelities
+            for use in wings:
+                if n := use.plane_counts.pop(old, 0):
+                    _retire(machine, use, n, B)
         # flush
         for use in uses:
             if use is not None and use.blk_hi > use.blk_lo:
@@ -198,49 +212,24 @@ def _retire(machine: Machine, use: _InUse, n: int, B: int) -> None:
         use.blk_lo = new_lo
 
 
-def _fine_step(machine, layout, uses, outs, core_idx, detail, window, tau, old, B):
-    """Full-fidelity step: wing planes up front, the core plane and the stale
-    core plane interleaved with the evaluations at stencil-reach granularity."""
-    geo = layout.geometry
-    reach = geo.rank_reach
-    # wing planes load whole
-    for ui, (use, elems) in enumerate(zip(uses, detail.in_elems)):
-        if ui == core_idx or use is None or not elems:
-            continue
-        use.plane_counts[tau] = len(elems)
-        _advance(machine, use, len(elems), B)
-    core = uses[core_idx]
-    new_elems = detail.in_elems[core_idx]
-    old_elems = None
-    for t, elems in window:
-        if t == old:
-            old_elems = elems
+def _fine_step(machine, reach, core, outs, evals, new_elems, old_elems, B):
+    """Full-fidelity step: the core plane new_elems loads and the stale core
+    plane old_elems retires, both interleaved with the step's evaluations at
+    stencil-reach granularity."""
     load_ptr = 0
     retire_ptr = 0
-    for rank, vertex, oi in detail.evals:
+    for rank, vertex, oi in _step_evals(outs, evals):
         while load_ptr < len(new_elems) and new_elems[load_ptr][0] <= rank + reach:
             _advance(machine, core, 1, B)
             load_ptr += 1
-        if old_elems is not None:
-            while retire_ptr < len(old_elems) and old_elems[retire_ptr][0] < rank - reach:
-                _retire(machine, core, 1, B)
-                retire_ptr += 1
-        _eval_vertex(machine, outs[oi], vertex, B)
-    while load_ptr < len(new_elems):
-        _advance(machine, core, 1, B)
-        load_ptr += 1
-    if old_elems is not None:
-        while retire_ptr < len(old_elems):
+        while retire_ptr < len(old_elems) and old_elems[retire_ptr][0] < rank - reach:
             _retire(machine, core, 1, B)
             retire_ptr += 1
-        for i, (t, _) in enumerate(window):
-            if t == old:
-                del window[i]
-                break
-        core.plane_counts.pop(old, None)
-    if new_elems:
-        core.plane_counts[tau] = len(new_elems)
-        window.append((tau, new_elems))
+        _eval_vertex(machine, outs[oi], vertex, B)
+    for _ in range(load_ptr, len(new_elems)):
+        _advance(machine, core, 1, B)
+    for _ in range(retire_ptr, len(old_elems)):
+        _retire(machine, core, 1, B)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +250,7 @@ def _run_rows(machine: Machine, layout: Layout) -> None:
         wb = [p.is_shared and p.users[0] == band for p in pieces]
         streams = geo.row_streams(band)
         bases = [pieces[st.use_index].start_block + st.row_rank * bpr for st in streams]
-        outs = [_OutUse(layout.piece("out", k)) for k in geo.band_out_keys(band)]
+        outs = [_OutUse(layout.piece("out", k), geo) for k in geo.band_out_keys(band)]
         pending: dict[int, list[tuple[int, bool]]] = {}
         for tau in range(0, k1 + s):
             for blk, flag in pending.pop(tau, ()):  # scheduled evictions
@@ -281,11 +270,12 @@ def _run_rows(machine: Machine, layout: Layout) -> None:
                     machine.load(base + bi)
             te = tau - s
             if 0 <= te < k1:
+                evals = geo.step_counts(band, tau)[1]
                 if full:
-                    for _, vertex, oi in geo.step_detail(band, tau).evals:
+                    for _, vertex, oi in _step_evals(outs, evals):
                         _eval_vertex(machine, outs[oi], vertex, B)
                 else:
-                    _stream_outputs(machine, outs, geo.step_counts(band, tau)[1], B)
+                    _stream_outputs(machine, outs, evals, B)
         # flush: scheduled evictions beyond the last step, then current blocks
         for t in sorted(pending):
             for blk, flag in pending[t]:
