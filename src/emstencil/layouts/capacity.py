@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from emstencil.bounds import LayoutKind
+from emstencil.layouts import planar
 from emstencil.layouts.base import SweepShapeSize, UnusableConfiguration
 
 _TEMPLATE_KINDS = (LayoutKind.BALL_2D_IN_3D, LayoutKind.HEX_3D)
@@ -35,43 +36,26 @@ def out_staging_blocks(kind: LayoutKind, n: int, s: int, m: int) -> int:
     if kind is LayoutKind.COLUMN_ND:
         return 3 ** (n - 1)
     if kind in _TEMPLATE_KINDS:
-        return len(_probe_template(kind, m, s)[2])
+        return len(_template(kind, m, s).class_offsets)
     raise ValueError(kind)
 
 
-_probe_cache: dict = {}
-
-
-def _probe_template(kind: LayoutKind, m: int, s: int):
-    """Per-class plane-window sizes and rank reach for the template kinds.
-
-    A class's window over w consecutive planes is the worst sum of w
-    consecutive per-phase counts (the phase pattern cycles with the sweep).
-    """
-    key = (kind, m, s)
-    got = _probe_cache.get(key)
-    if got is not None:
-        return got
-    from emstencil.grid import StencilSpec
-    from emstencil.layouts import planar
-
+def _template(kind: LayoutKind, m: int, s: int) -> planar.Template:
     cls = planar.Ball2DIn3DGeometry if kind is LayoutKind.BALL_2D_IN_3D else planar.HexGeometry
-    probe = object.__new__(cls)
-    probe.m = m
-    probe.stencil = StencilSpec(s)
-    probe._build_template()
-    phases = probe.n_phases
+    return planar.template(cls, m, s)
 
-    def window(cid: int, w: int, end_phase: int) -> int:
-        # sum of counts over the w planes ending at a plane of phase end_phase
-        per = [tot[cid] for tot in probe._class_totals]
-        got = (w // phases) * sum(per)
-        for j in range(w % phases):
-            got += per[(end_phase - j) % phases]
-        return got
 
-    got = (window, probe.rank_reach, probe._class_offsets, phases)
-    _probe_cache[key] = got
+def _window(totals, cid: int, w: int, end_phase: int) -> int:
+    """Count of class cid over the w planes ending at a plane of phase end_phase.
+
+    The per-phase counts cycle with the sweep, so a window of w planes holds
+    w // phases whole cycles plus the last w % phases phases.
+    """
+    per = [tot[cid] for tot in totals]
+    phases = len(per)
+    got = (w // phases) * sum(per)
+    for j in range(w % phases):
+        got += per[(end_phase - j) % phases]
     return got
 
 
@@ -97,17 +81,18 @@ def input_residency(kind: LayoutKind, n: int, s: int, m: int, B: int) -> int:
             total += _ceil_blocks((2 * s + 1) * combo, B)
         return total
     if kind in _TEMPLATE_KINDS:
-        window, reach, offsets, phases = _probe_template(kind, m, s)
+        tpl = _template(kind, m, s)
+        totals = tpl.class_totals
         worst = 0
-        for phase in range(phases):
+        for phase in range(len(totals)):
             total = 0
-            for cid in range(len(offsets)):
-                if len(offsets[cid]) == 1:
-                    total += _ceil_blocks(window(cid, 2 * s, phase) + reach, B)
+            for cid, offsets in enumerate(tpl.class_offsets):
+                if len(offsets) == 1:
+                    total += _ceil_blocks(_window(totals, cid, 2 * s, phase) + tpl.rank_reach, B)
                 else:
                     # held twice: the band's own fringe and the mirror fringe
                     # of the sharing neighbors (these tilings do not overlap)
-                    total += 2 * _ceil_blocks(window(cid, 2 * s + 1, phase), B)
+                    total += 2 * _ceil_blocks(_window(totals, cid, 2 * s + 1, phase), B)
             worst = max(worst, total)
         return worst
     raise ValueError(kind)

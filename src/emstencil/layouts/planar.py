@@ -10,9 +10,10 @@ piece kinds of each band.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from emstencil.grid import GridSpec, StencilSpec, Vertex, l1_offsets
 from emstencil.layouts.base import WorkingBand
@@ -22,9 +23,10 @@ from emstencil.machine import MachineConfig
 Cell = tuple[int, int]
 
 
-def _lattice_candidates(p, basis, det):
+def _lattice_candidates(p, basis):
     """Nearby lattice cells of a 2D point, by rounded inverse + 3x3 search."""
     (a11, a21), (a12, a22) = basis  # columns v1 = (a11, a21), v2 = (a12, a22)
+    det = a11 * a22 - a12 * a21
     pa, pb = p
     # inverse of [[a11, a12], [a21, a22]] scaled by det
     i0 = round((a22 * pa - a12 * pb) / det)
@@ -34,148 +36,185 @@ def _lattice_candidates(p, basis, det):
             yield (i0 + di, j0 + dj)
 
 
+def _lattice_point(basis, cell) -> tuple[int, int]:
+    (a11, a21), (a12, a22) = basis
+    i, j = cell
+    return (i * a11 + j * a12, i * a21 + j * a22)
+
+
+class Template(NamedTuple):
+    """The cell template of one (kind, m, s): all a geometry needs of the tiling.
+
+    A class is the set of cell offsets whose bands need a position (via the 3D
+    l1 stencil reach); it can differ per sweep phase.
+    """
+
+    class_offsets: tuple[frozenset, ...]  # class id -> offsets of the cells needing it
+    class_totals: tuple[tuple[int, ...], ...]  # phase -> unclipped count per class
+    segments: tuple[tuple, ...]  # phase -> ((row, ((c_lo, c_hi, class), ...)), ...)
+    rank_reach: int
+
+
+def _rank_width(m: int) -> int:
+    return 4 * m + 6
+
+
+@functools.cache
+def template(cls: type[_PlanarBase], m: int, s: int) -> Template:
+    """The template of a template kind, built once per (kind, m, s).
+
+    A shifted position that lies in the owned set belongs to cell (0, 0); only
+    the boundary positions go through the lattice search.  Uniqueness of that
+    ownership is the tiling property the layout tests check.
+    """
+    owned = [
+        (pa, pb)
+        for pa in range(-m, m + 1)
+        for pb in range(-m, m + 1)
+        if cls._owned(m, (pa, pb))
+    ]
+    (a11, a21), (a12, a22) = cls._cell_basis(m)
+    det = a11 * a22 - a12 * a21
+    if len(owned) != det:
+        raise AssertionError(f"template size {len(owned)} != lattice determinant {det}")
+    owned_set = set(owned)
+    # per-phase class of each owned position: set of cell offsets needing it
+    deltas = l1_offsets(3, s)
+    phase_shifts = [sorted({cls._delta_rel(d, phase) for d in deltas})
+                    for phase in range(cls.n_phases)]
+    class_ids: dict[frozenset, int] = {}
+    pos_class: list[dict[tuple[int, int], int]] = []
+    for shifts in phase_shifts:
+        mapping = {}
+        for p in owned:
+            users = set()
+            for sh in shifts:
+                q = (p[0] + sh[0], p[1] + sh[1])
+                users.add((0, 0) if q in owned_set else cls._resolve(m, q))
+            mapping[p] = class_ids.setdefault(frozenset(users), len(class_ids))
+        pos_class.append(mapping)
+    # scan-ordered rows, then per-phase class segments of adjacent columns
+    rows: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for p in owned:
+        r, c = cls.scan_rc(p)
+        rows.setdefault(r, []).append((c, p))
+    step = cls._col_step
+    segments = []
+    for mapping in pos_class:
+        per_row = []
+        for r in sorted(rows):
+            lst: list[tuple[int, int, int]] = []
+            for c, p in sorted(rows[r]):
+                cid = mapping[p]
+                if lst and lst[-1][2] == cid and c == lst[-1][1] + step:
+                    lst[-1] = (lst[-1][0], c, cid)
+                else:
+                    lst.append((c, c, cid))
+            per_row.append((r, tuple(lst)))
+        segments.append(tuple(per_row))
+    totals = []
+    for mapping in pos_class:
+        tot = [0] * len(class_ids)
+        for cid in mapping.values():
+            tot[cid] += 1
+        totals.append(tuple(tot))
+    # widest scan-rank distance of a stencil shift
+    W = _rank_width(m)
+    r0, c0 = cls.scan_rc((0, 0))
+    reach = max(
+        abs((r - r0) * W + (c - c0))
+        for shifts in phase_shifts
+        for r, c in map(cls.scan_rc, shifts)
+    )
+    return Template(
+        class_offsets=tuple(class_ids),
+        class_totals=tuple(totals),
+        segments=tuple(segments),
+        rank_reach=reach + step,
+    )
+
+
 class _PlanarBase(PrismGeometry):
-    """Shared machinery; subclasses fill in cell/owner/projection specifics."""
+    """Shared machinery; subclasses fill in cell/owner/projection specifics.
+
+    Per-plane counts depend on a cell and a plane only through the clip key
+    ``_clip(cell, tau)``: the sweep phase followed by (low, high) bound pairs
+    on the template coordinates, each clamped to [-m-1, m+1].  Clamping keeps
+    every comparison with the template span [-m, m], so the key determines the
+    clipped counts, and it makes all interior planes of a phase share one key.
+    """
 
     n_phases = 1
+    _col_step = 1
 
     def __init__(self, grid: GridSpec, stencil: StencilSpec, cfg: MachineConfig, m: int):
         self.grid = grid
         self.stencil = stencil
         self.cfg = cfg
         self.m = m
-        self._build_template()
+        self._basis = self._cell_basis(m)
+        tpl = template(type(self), m, stencil.s)
+        self._class_offsets = tpl.class_offsets
+        self._class_totals = tpl.class_totals
+        self._segments = tpl.segments
+        self.rank_reach = tpl.rank_reach
+        self.n_classes = len(tpl.class_offsets)
+        self._no_counts = (0,) * self.n_classes
+        self._count_memo: dict[tuple, tuple[int, ...]] = {}
         self._enumerate_cells()
         self._key_cells()
 
     # ---- subclass hooks -------------------------------------------------------
 
-    def _cell_basis(self) -> tuple[tuple[int, int], tuple[int, int]]:
+    @staticmethod
+    def _cell_basis(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
         raise NotImplementedError
 
-    def _owned(self, p) -> bool:
-        """Is relative position p owned by cell (0, 0)?"""
+    @classmethod
+    def _owned(cls, m: int, p) -> bool:
+        """Is relative position p owned by cell (0, 0)?  (|p| <= m covers the set.)"""
         raise NotImplementedError
 
-    def _template_bbox(self) -> int:
-        """Positions with max-abs coordinate <= this cover the owned set."""
+    @staticmethod
+    def _delta_rel(delta3d, phase) -> tuple[int, int]:
         raise NotImplementedError
 
-    def _delta_rel(self, delta3d, phase) -> tuple[int, int]:
+    @staticmethod
+    def scan_rc(p) -> tuple[int, int]:
         raise NotImplementedError
 
-    def cell_center(self, cell: Cell) -> tuple[int, int]:
-        (a11, a21), (a12, a22) = self._cell_basis()
-        i, j = cell
-        return (i * a11 + j * a12, i * a21 + j * a22)
+    @staticmethod
+    def pos_of_rc(r, c) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def _clip(self, cell: Cell, tau: int) -> tuple[int, ...]:
+        """The clip key of a cell at sweep plane tau (built with _clip_key)."""
+        raise NotImplementedError
+
+    def row_clip(self, clip, row: int) -> Optional[tuple[int, int]]:
+        """In-grid col interval (inclusive) of a template row under a clip key, or None."""
+        raise NotImplementedError
 
     # ---- template --------------------------------------------------------------
 
-    def resolve_cell(self, p) -> Cell:
-        basis = self._cell_basis()
+    def cell_center(self, cell: Cell) -> tuple[int, int]:
+        return _lattice_point(self._basis, cell)
+
+    @classmethod
+    def _resolve(cls, m: int, p) -> Cell:
+        basis = cls._cell_basis(m)
         hits = []
-        for cell in _lattice_candidates(p, basis, self._det):
-            ca, cb = self.cell_center(cell)
-            if self._owned((p[0] - ca, p[1] - cb)):
+        for cell in _lattice_candidates(p, basis):
+            ca, cb = _lattice_point(basis, cell)
+            if cls._owned(m, (p[0] - ca, p[1] - cb)):
                 hits.append(cell)
         if len(hits) != 1:
             raise AssertionError(f"ownership not unique at {p}: {hits}")
         return hits[0]
 
-    def _build_template(self):
-        (a11, a21), (a12, a22) = self._cell_basis()
-        self._det = a11 * a22 - a12 * a21
-        bb = self._template_bbox()
-        owned = []
-        for pa in range(-bb, bb + 1):
-            for pb in range(-bb, bb + 1):
-                if self._owned((pa, pb)):
-                    owned.append((pa, pb))
-        if len(owned) != self._det:
-            raise AssertionError(
-                f"template size {len(owned)} != lattice determinant {self._det}"
-            )
-        # per-phase class of each owned position: set of cell offsets needing it
-        s = self.s
-        deltas = l1_offsets(3, s)
-        class_ids: dict[frozenset, int] = {}
-        self._class_offsets: list[frozenset] = []
-        self._pos_class: list[dict[tuple[int, int], int]] = []
-        for phase in range(self.n_phases):
-            shifts = sorted({self._delta_rel(d, phase) for d in deltas})
-            mapping = {}
-            for p in owned:
-                users = set()
-                for sh in shifts:
-                    users.add(self.resolve_cell((p[0] + sh[0], p[1] + sh[1])))
-                key = frozenset(users)
-                cid = class_ids.get(key)
-                if cid is None:
-                    cid = len(self._class_offsets)
-                    class_ids[key] = cid
-                    self._class_offsets.append(key)
-                mapping[p] = cid
-            self._pos_class.append(mapping)
-        self.n_classes = len(self._class_offsets)
-        # scan-ordered rows: row key -> ordered (col, pos); then class segments
-        rows: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-        for p in owned:
-            r, c = self.scan_rc(p)
-            rows.setdefault(r, []).append((c, p))
-        self._row_keys = sorted(rows)
-        self._rows = {}
-        for r in self._row_keys:
-            entries = sorted(rows[r])
-            self._rows[r] = entries
-        # per-phase, per-row class segments [(c_lo, c_hi_inclusive, class)]
-        self._segments = []
-        for phase in range(self.n_phases):
-            segs = {}
-            for r in self._row_keys:
-                lst = []
-                for c, p in self._rows[r]:
-                    cid = self._pos_class[phase][p]
-                    if lst and lst[-1][2] == cid and self._adjacent(r, lst[-1][1], c):
-                        lst[-1] = (lst[-1][0], c, cid)
-                    else:
-                        lst.append((c, c, cid))
-                segs[r] = lst
-            self._segments.append(segs)
-        # per-phase class totals (unclipped)
-        self._class_totals = []
-        for phase in range(self.n_phases):
-            tot = [0] * self.n_classes
-            for p in owned:
-                tot[self._pos_class[phase][p]] += 1
-            self._class_totals.append(tot)
-        self._owned_set = set(owned)
-        self.rank_reach = self._compute_rank_reach(deltas)
-
-    def _adjacent(self, row, c_prev, c_next) -> bool:
-        return c_next == c_prev + self._col_step()
-
-    def _col_step(self) -> int:
-        return 1
-
-    def scan_rc(self, p) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def pos_of_rc(self, r, c) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def _compute_rank_reach(self, deltas) -> int:
-        reach = 0
-        W = self._rank_width()
-        for phase in range(self.n_phases):
-            shifts = {self._delta_rel(d, phase) for d in deltas}
-            for sh in shifts:
-                r, c = self.scan_rc(sh)
-                r0, c0 = self.scan_rc((0, 0))
-                reach = max(reach, abs((r - r0) * W + (c - c0)))
-        return reach + self._col_step()
-
-    def _rank_width(self) -> int:
-        return 4 * self.m + 6
+    def resolve_cell(self, p) -> Cell:
+        """The cell owning relative position p; raises unless exactly one does."""
+        return self._resolve(self.m, p)
 
     # ---- cells ------------------------------------------------------------------
 
@@ -197,44 +236,47 @@ class _PlanarBase(PrismGeometry):
                 keys.append(tuple(sorted(users)))
             self._cell_keys[cell] = keys
 
-    def phase_of(self, tau: int) -> int:
-        return tau % self.n_phases
-
-    # ---- per-plane clipping (subclass provides row clip) ---------------------------
-
-    def row_clip(self, cell: Cell, tau: int, row: int) -> Optional[tuple[int, int]]:
-        """In-grid col interval (inclusive) of a template row, or None."""
-        raise NotImplementedError
-
-    def fully_interior(self, cell: Cell, tau: int) -> bool:
-        raise NotImplementedError
+    # ---- per-plane clipping ----------------------------------------------------------
 
     def plane_range(self, cell: Cell) -> tuple[int, int]:
         raise NotImplementedError
 
-    def plane_class_counts(self, cell: Cell, tau: int) -> list[int]:
+    def _clip_key(self, phase: int, bounds) -> tuple[int, ...]:
+        lo, hi = -self.m - 1, self.m + 1
+        return (phase, *[lo if x < lo else hi if x > hi else x for x in bounds])
+
+    def fully_interior(self, clip) -> bool:
+        """Does no grid bound of the clip key cut the template?"""
+        m = self.m
+        return all(lo <= -m for lo in clip[1::2]) and all(hi >= m for hi in clip[2::2])
+
+    def plane_class_counts(self, cell: Cell, tau: int) -> tuple[int, ...]:
         """Count of each class at sweep plane tau (clipped to the grid)."""
         t0, t1 = self.plane_range(cell)
         if not t0 <= tau <= t1:
-            return [0] * self.n_classes
-        phase = self.phase_of(tau)
-        if self.fully_interior(cell, tau):
+            return self._no_counts
+        clip = self._clip(cell, tau)
+        got = self._count_memo.get(clip)
+        if got is None:
+            got = self._count_memo[clip] = self._clipped_counts(clip)
+        return got
+
+    def _clipped_counts(self, clip) -> tuple[int, ...]:
+        phase = clip[0]
+        if self.fully_interior(clip):
             return self._class_totals[phase]
         counts = [0] * self.n_classes
-        segs = self._segments[phase]
-        for r in self._row_keys:
-            clip = self.row_clip(cell, tau, r)
-            if clip is None:
+        step = self._col_step
+        for r, segs in self._segments[phase]:
+            span = self.row_clip(clip, r)
+            if span is None:
                 continue
-            lo, hi = clip
-            for c0, c1, cid in segs[r]:
+            lo, hi = span
+            for c0, c1, cid in segs:
                 a, b = max(c0, lo), min(c1, hi)
                 if a <= b:
-                    counts[cid] += self._seg_count(r, a, b)
-        return counts
-
-    def _seg_count(self, row, a, b) -> int:
-        return b - a + 1
+                    counts[cid] += (b - a) // step + 1
+        return tuple(counts)
 
     def plane_class_elements(self, cell: Cell, tau: int):
         """Per class: scan-ordered [(rank, vertex)] at plane tau."""
@@ -242,21 +284,18 @@ class _PlanarBase(PrismGeometry):
         out = [[] for _ in range(self.n_classes)]
         if not t0 <= tau <= t1:
             return out
-        phase = self.phase_of(tau)
-        segs = self._segments[phase]
-        W = self._rank_width()
-        for r in self._row_keys:
-            clip = self.row_clip(cell, tau, r)
-            if clip is None:
+        clip = self._clip(cell, tau)
+        W = _rank_width(self.m)
+        step = self._col_step
+        for r, segs in self._segments[clip[0]]:
+            span = self.row_clip(clip, r)
+            if span is None:
                 continue
-            lo, hi = clip
-            for c0, c1, cid in segs[r]:
-                a, b = max(c0, lo), min(c1, hi)
-                c = a
-                while c <= b:
+            lo, hi = span
+            for c0, c1, cid in segs:
+                for c in range(max(c0, lo), min(c1, hi) + 1, step):
                     p = self.pos_of_rc(r, c)
                     out[cid].append((r * W + c, self.vertex_of(cell, p, tau)))
-                    c += self._col_step()
         return out
 
     def vertex_of(self, cell: Cell, p, tau: int) -> Vertex:
@@ -392,8 +431,8 @@ class _PlanarBase(PrismGeometry):
         for cell in self.bands:
             t0, t1 = self.plane_range(cell)
             partial = not all(
-                self.fully_interior(cell, tau) for tau in (t0, t1)
-            ) or not self.fully_interior(cell, (t0 + t1) // 2)
+                self.fully_interior(self._clip(cell, tau)) for tau in (t0, t1, (t0 + t1) // 2)
+            )
             out.append(WorkingBand(cell, self.cell_center(cell), (t0, t1), partial))
         return out
 
@@ -412,48 +451,46 @@ class Ball2DIn3DGeometry(_PlanarBase):
     ties); the stencil reach then defines up to 8 wing classes per band.
     """
 
+    _col_step = 2
+
     def __init__(self, grid, stencil, cfg, m):
         if grid.n != 3:
             raise ValueError("ball-in-3D layout is three dimensional")
         super().__init__(grid, stencil, cfg, m)
 
-    def _cell_basis(self):
-        m = self.m
+    @staticmethod
+    def _cell_basis(m):
         return ((m, m), (0, 2 * m))
 
-    def _template_bbox(self):
-        return self.m
-
-    def _owned(self, p):
+    @classmethod
+    def _owned(cls, m, p):
         # nearest center in l1, ties to the lexicographically smallest cell
         d0 = abs(p[0]) + abs(p[1])
-        if d0 > self.m:
+        if d0 > m:
             return False
+        basis = cls._cell_basis(m)
         best = (d0, (0, 0))
-        for cell in _lattice_candidates(p, self._cell_basis(), 2 * self.m * self.m):
+        for cell in _lattice_candidates(p, basis):
             if cell == (0, 0):
                 continue
-            ca, cb = self.cell_center(cell)
+            ca, cb = _lattice_point(basis, cell)
             d = abs(p[0] - ca) + abs(p[1] - cb)
             if (d, cell) < best:
                 best = (d, cell)
         return best[1] == (0, 0)
 
-    def _delta_rel(self, delta3d, phase):
+    @staticmethod
+    def _delta_rel(delta3d, phase):
         return (delta3d[1], delta3d[2])
 
-    def scan_rc(self, p):
+    @staticmethod
+    def scan_rc(p):
         # diagonals of direction (1,-1): row = pa+pb, col = pa-pb
         return (p[0] + p[1], p[0] - p[1])
 
-    def pos_of_rc(self, r, c):
+    @staticmethod
+    def pos_of_rc(r, c):
         return ((r + c) // 2, (r - c) // 2)
-
-    def _col_step(self):
-        return 2
-
-    def _seg_count(self, row, a, b):
-        return (b - a) // 2 + 1
 
     def _enumerate_cells(self):
         k2, k3 = self.grid.sides[1], self.grid.sides[2]
@@ -471,34 +508,28 @@ class Ball2DIn3DGeometry(_PlanarBase):
         self.bands = sorted(cells)
 
     def _cell_in_grid(self, cell) -> bool:
-        return any(self.row_clip(cell, 0, r) is not None for r in self._row_keys)
+        clip = self._clip(cell, 0)
+        return any(self.row_clip(clip, r) is not None for r, _ in self._segments[0])
 
     def plane_range(self, cell):
         return (0, self.grid.sides[0] - 1)
 
-    def plane_class_counts(self, cell, tau):
-        # the cross-section clip is plane-independent: cache per cell
-        t0, t1 = self.plane_range(cell)
-        if not t0 <= tau <= t1:
-            return [0] * self.n_classes
-        cache = getattr(self, "_cell_count_cache", None)
-        if cache is None:
-            cache = self._cell_count_cache = {}
-        got = cache.get(cell)
-        if got is None:
-            got = cache[cell] = super().plane_class_counts(cell, t0)
-        return got
-
-    def row_clip(self, cell, tau, row):
-        # row r holds positions (pa, pb) with pa+pb = r, col = pa-pb; the l1
-        # ball |pa|+|pb| <= m is the square max(|row|, |col|) <= m here, and
-        # pa in [-ca, k2-1-ca], pb in [-cb, k3-1-cb] clip the col span.
-        if abs(row) > self.m:
-            return None
+    def _clip(self, cell, tau):
+        # pa in [-ca, k2-1-ca] and pb in [-cb, k3-1-cb], on every plane
         ca, cb = self.cell_center(cell)
         k2, k3 = self.grid.sides[1], self.grid.sides[2]
-        c_lo = max(-2 * ca - row, row - 2 * (k3 - 1 - cb), -self.m)
-        c_hi = min(2 * (k2 - 1 - ca) - row, row + 2 * cb, self.m)
+        return self._clip_key(0, (-ca, k2 - 1 - ca, -cb, k3 - 1 - cb))
+
+    def row_clip(self, clip, row):
+        # row r holds positions (pa, pb) with pa+pb = r, col = pa-pb; the l1
+        # ball |pa|+|pb| <= m is the square max(|row|, |col|) <= m here, and
+        # the pa and pb bounds of the clip key cut the col span.
+        m = self.m
+        if abs(row) > m:
+            return None
+        _, pa_lo, pa_hi, pb_lo, pb_hi = clip
+        c_lo = max(2 * pa_lo - row, row - 2 * pb_hi, -m)
+        c_hi = min(2 * pa_hi - row, row - 2 * pb_lo, m)
         # cols share the row's parity
         if (c_lo - row) % 2:
             c_lo += 1
@@ -507,12 +538,6 @@ class Ball2DIn3DGeometry(_PlanarBase):
         if c_lo > c_hi:
             return None
         return c_lo, c_hi
-
-    def fully_interior(self, cell, tau):
-        ca, cb = self.cell_center(cell)
-        k2, k3 = self.grid.sides[1], self.grid.sides[2]
-        m = self.m
-        return m <= ca <= k2 - 1 - m and m <= cb <= k3 - 1 - m
 
     def vertex_of(self, cell, p, tau):
         ca, cb = self.cell_center(cell)
@@ -546,18 +571,16 @@ class HexGeometry(_PlanarBase):
             raise ValueError("hexagonal layout is three dimensional")
         super().__init__(grid, stencil, cfg, m)
 
-    def _cell_basis(self):
-        m = self.m
+    @staticmethod
+    def _cell_basis(m):
         return ((2 * m + 1, m), (-m, m + 1))
 
-    def _template_bbox(self):
-        return self.m
-
-    def _owned(self, p):
-        m = self.m
+    @classmethod
+    def _owned(cls, m, p):
         return abs(p[0]) <= m and abs(p[1]) <= m and abs(p[0] - p[1]) <= m
 
-    def _delta_rel(self, delta3d, phase):
+    @staticmethod
+    def _delta_rel(delta3d, phase):
         e = sum(delta3d)
         c0 = _center_path(phase)
         c1 = _center_path(phase + e)
@@ -568,11 +591,13 @@ class HexGeometry(_PlanarBase):
         )
         return (w[0], -w[2])
 
-    def scan_rc(self, p):
+    @staticmethod
+    def scan_rc(p):
         # increasing z (= -b) first, then increasing y (= b - a): col = -a
         return (-p[1], -p[0])
 
-    def pos_of_rc(self, r, c):
+    @staticmethod
+    def pos_of_rc(r, c):
         return (-c, -r)
 
     def _cell3d(self, cell):
@@ -588,29 +613,29 @@ class HexGeometry(_PlanarBase):
             base[2] + c3[2] - p[1],
         )
 
+    def _bounds(self, cell, tau):
+        """In-grid intervals of a, b and d = a - b at plane tau, unclamped."""
+        # the vertex at (a, b) is o + (a, b - a, -b) with o the cell origin on
+        # plane tau; x1, x3 and x2 in [0, k) bound a, b and a - b in turn
+        base = _center_path(tau)
+        c3 = self._cell3d(cell)
+        o1, o2, o3 = base[0] + c3[0], base[1] + c3[1], base[2] + c3[2]
+        k1, k2, k3 = self.grid.sides
+        return (-o1, k1 - 1 - o1, o3 - (k3 - 1), o3, o2 - (k2 - 1), o2)
+
+    def _clip(self, cell, tau):
+        return self._clip_key(tau % 3, self._bounds(cell, tau))
+
     def _feasible(self, cell, tau) -> bool:
         """Does the clipped hexagon contain any in-grid position at plane tau?"""
-        a_lo, a_hi, b_lo, b_hi, d_lo, d_hi = self._abs_bounds(cell, tau)
+        a_lo, a_hi, b_lo, b_hi, d_lo, d_hi = self._bounds(cell, tau)
         m = self.m
         a_lo, a_hi = max(a_lo, -m), min(a_hi, m)
         b_lo, b_hi = max(b_lo, -m), min(b_hi, m)
-        d_lo, d_hi = max(d_lo, -m), min(d_hi, m)  # d = a - b
+        d_lo, d_hi = max(d_lo, -m), min(d_hi, m)
         if a_lo > a_hi or b_lo > b_hi or d_lo > d_hi:
             return False
         return a_lo - b_hi <= d_hi and d_lo <= a_hi - b_lo
-
-    def _abs_bounds(self, cell, tau):
-        """Interval constraints on (a, b, a-b) from the grid box."""
-        base = _center_path(tau)
-        c3 = self._cell3d(cell)
-        k1, k2, k3 = self.grid.sides
-        # x1 = base0 + c0 + a in [0, k1)
-        a_lo, a_hi = -(base[0] + c3[0]), k1 - 1 - (base[0] + c3[0])
-        # x3 = base2 + c2 - b in [0, k3)
-        b_lo, b_hi = (base[2] + c3[2]) - (k3 - 1), base[2] + c3[2]
-        # x2 = base1 + c1 + (b - a) in [0, k2) -> (a - b) in ...
-        d_lo, d_hi = (base[1] + c3[1]) - (k2 - 1), base[1] + c3[1]
-        return a_lo, a_hi, b_lo, b_hi, d_lo, d_hi
 
     def _enumerate_cells(self):
         k1, k2, k3 = self.grid.sides
@@ -665,31 +690,17 @@ class HexGeometry(_PlanarBase):
             return (0, -1)
         return rng
 
-    def row_clip(self, cell, tau, row):
+    def row_clip(self, clip, row):
         # row = -b, col = -a
-        a_lo, a_hi, b_lo, b_hi, d_lo, d_hi = self._abs_bounds(cell, tau)
+        _, a_lo, a_hi, b_lo, b_hi, d_lo, d_hi = clip
         b = -row
         if not b_lo <= b <= b_hi:
             return None
-        # a constrained by a-bounds and (a - b) bounds
-        lo = max(a_lo, d_lo + b)
-        hi = min(a_hi, d_hi + b)
-        # template row span: |a| <= m and |a - b| <= m
+        # a constrained by a-bounds, (a - b) bounds and the template row span
+        # |a| <= m, |a - b| <= m
         m = self.m
-        lo = max(lo, -m, b - m)
-        hi = min(hi, m, b + m)
+        lo = max(a_lo, d_lo + b, -m, b - m)
+        hi = min(a_hi, d_hi + b, m, b + m)
         if lo > hi:
             return None
         return (-hi, -lo)
-
-    def fully_interior(self, cell, tau):
-        a_lo, a_hi, b_lo, b_hi, d_lo, d_hi = self._abs_bounds(cell, tau)
-        m = self.m
-        return (
-            a_lo <= -m
-            and a_hi >= m
-            and b_lo <= -m
-            and b_hi >= m
-            and d_lo <= -m
-            and d_hi >= m
-        )

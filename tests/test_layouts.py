@@ -1,7 +1,7 @@
 import pytest
 
 from emstencil.bounds import LayoutKind
-from emstencil.grid import GridSpec, StencilSpec, vertex_count
+from emstencil.grid import GridSpec, StencilSpec, l1_offsets, vertex_count
 from emstencil.layouts import (
     UnusableConfiguration,
     build_layout,
@@ -177,18 +177,17 @@ def test_diag2d_per_row_band_widths():
 def test_hex_cross_section_counts():
     # a working band meets a Sigma-plane in 3m^2+3m+1 vertices and an
     # x1x2-plane in three hexagons' worth
-    sides, M, B = small_config(LayoutKind.HEX_3D)
     layout = build_layout(LayoutKind.HEX_3D, GridSpec((30, 30, 30)), StencilSpec(1),
                           MachineConfig(M=600, B=4))
     geo = layout.geometry
     m = geo.m
     hexagon = 3 * m * m + 3 * m + 1
-    assert len(geo._owned_set) == hexagon
+    assert sum(geo._class_totals[0]) == hexagon
     # pick an interior cell and an interior plane
     for cell in geo.bands:
         t0, t1 = geo.plane_range(cell)
         mid = (t0 + t1) // 2
-        if geo.fully_interior(cell, mid):
+        if geo.fully_interior(geo._clip(cell, mid)):
             assert sum(geo.plane_class_counts(cell, mid)) == hexagon
             # wing vertices over one full phase cycle: at most 24ms + O(s^2)
             wings = sum(
@@ -203,16 +202,90 @@ def test_hex_cross_section_counts():
         pytest.skip("no interior cell at this size")
 
 
-def test_hex_band_origin_lattice_tiles():
-    # ownership test doubles as the tiling proof: resolve_cell asserts
-    # uniqueness for every probed position
-    layout = build_layout(GridSpec((12, 12, 12)) and LayoutKind.HEX_3D,
-                          GridSpec((12, 12, 12)), StencilSpec(1), MachineConfig(M=600, B=4))
-    geo = layout.geometry
+def _assert_origin_lattice_tiles(kind):
+    # the tiling proof for the whole template window: resolve_cell asserts
+    # that exactly one cell owns each position, and cell (0, 0) owns exactly
+    # the template's owned set (which the template build takes on trust)
+    geo = build_small(kind).geometry
     m = geo.m
     for a in range(-2 * m, 2 * m + 1):
         for b in range(-2 * m, 2 * m + 1):
-            geo.resolve_cell((a, b))
+            assert (geo.resolve_cell((a, b)) == (0, 0)) == geo._owned(m, (a, b)), (a, b)
+
+
+def test_hex_band_origin_lattice_tiles():
+    _assert_origin_lattice_tiles(LayoutKind.HEX_3D)
+
+
+def test_ball_band_origin_lattice_tiles():
+    _assert_origin_lattice_tiles(LayoutKind.BALL_2D_IN_3D)
+
+
+# (kind, s): M, B, a desk-scale grid, and a grid smaller than the sweep shape
+# across the sweep, on which no plane of any band is interior
+CLIP_CONFIGS = {
+    (LayoutKind.HEX_3D, 1): (600, 4, (14, 12, 13), (5, 7, 4)),
+    (LayoutKind.HEX_3D, 2): (3000, 8, (20, 17, 23), (7, 9, 5)),
+    (LayoutKind.BALL_2D_IN_3D, 1): (512, 4, (5, 20, 23), (3, 7, 6)),
+    (LayoutKind.BALL_2D_IN_3D, 2): (3000, 8, (6, 25, 31), (5, 9, 8)),
+}
+
+
+@pytest.mark.parametrize("kind,s", list(CLIP_CONFIGS), ids=lambda v: getattr(v, "value", v))
+def test_plane_class_counts_match_brute_force(kind, s):
+    # classify each owned template position with resolve_cell, place it with
+    # vertex_of and tally the in-grid ones: an independent count of what
+    # plane_class_counts reads from the clip key and the template segments
+    M, B, desk, small = CLIP_CONFIGS[(kind, s)]
+    for sides in (desk, small):
+        geo = build_layout(kind, GridSpec(sides), StencilSpec(s), MachineConfig(M=M, B=B)).geometry
+        m = geo.m
+        cid_of = {users: cid for cid, users in enumerate(geo._class_offsets)}
+        owned = [(a, b) for a in range(-m, m + 1) for b in range(-m, m + 1)
+                 if geo._owned(m, (a, b))]
+        per_phase = []
+        for phase in range(geo.n_phases):
+            shifts = {geo._delta_rel(d, phase) for d in l1_offsets(3, s)}
+            per_phase.append([
+                (p, cid_of[frozenset(geo.resolve_cell((p[0] + da, p[1] + db))
+                                     for da, db in shifts)])
+                for p in owned
+            ])
+        planes = [(band, tau) for band in geo.bands
+                  for tau in range(geo.plane_range(band)[0], geo.plane_range(band)[1] + 1)]
+        if sides == small:
+            assert not any(geo.fully_interior(geo._clip(band, tau)) for band, tau in planes)
+        for band, tau in planes:
+            tally = [0] * geo.n_classes
+            for p, cid in per_phase[tau % geo.n_phases]:
+                x = geo.vertex_of(band, p, tau)
+                if all(0 <= xi < k for xi, k in zip(x, sides)):
+                    tally[cid] += 1
+            got = geo.plane_class_counts(band, tau)
+            for cid, (n, want) in enumerate(zip(got, tally)):
+                assert n == want, (
+                    f"{sides}: band {band}, tau {tau}, class {cid} "
+                    f"{sorted(geo._class_offsets[cid])}: counted {n}, brute force {want}"
+                )
+
+
+def test_template_build_keeps_no_geometry_alive():
+    # the capacity search and the geometry share one compact template per
+    # (kind, m, s); no probe or geometry outlives its layout
+    import gc
+
+    from emstencil.layouts.planar import _PlanarBase
+
+    def live():
+        gc.collect()
+        return {id(o) for o in gc.get_objects() if isinstance(o, _PlanarBase)}
+
+    before = live()
+    layout = build_layout(LayoutKind.HEX_3D, GridSpec((9, 10, 11)), StencilSpec(1),
+                          MachineConfig(M=1000, B=4))
+    assert live() - before
+    del layout
+    assert not live() - before
 
 
 def test_row2d_row_major_addresses_single_band():
