@@ -48,15 +48,6 @@ def build_layout(
     return Layout(kind, grid, stencil, cfg, geometry, shape)
 
 
-def working_band_tiling(kind: LayoutKind, grid: GridSpec, stencil: StencilSpec,
-                        cfg: MachineConfig, m: int | None = None) -> list[WorkingBand]:
-    """Enumerate the working bands covering the grid for a layout kind."""
-    if m is None:
-        m = sweep_shape_size(kind, grid.n, stencil.s, cfg.M, cfg.B).m
-    geometry = _GEOMETRY[kind](grid, stencil, cfg, m)
-    return geometry.working_bands()
-
-
 def hexagonal_projection(st: StencilSpec, x: tuple[int, int]) -> set[tuple[int, int]]:
     """The 2D projection P_s(x) of the s-star stencil onto a sweep plane.
 
@@ -86,7 +77,6 @@ __all__ = [
     "UnusableConfiguration",
     "WorkingBand",
     "build_layout",
-    "working_band_tiling",
     "hexagonal_projection",
     "sweep_shape_size",
     "closed_form_m",

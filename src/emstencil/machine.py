@@ -9,8 +9,14 @@ final write of an output block, and everything else is non-compulsory.
 Residency and first-load history are kept as sets of block-id intervals, so
 contiguous range instructions cost O(log) regardless of range length.  That is
 what lets billion-element CountOnly experiments run at desk speed while the
-scalar instruction path (used by Full fidelity, unit tests and trace replay)
-keeps per-vertex semantics.
+scalar evaluation path (used by Full fidelity and unit tests) keeps per-vertex
+semantics.
+
+The trace is the instruction stream: each instruction appends one record,
+named after itself and carrying its own arguments (the scalar load, allocate
+and evict write the records of the range instructions they delegate to).
+``replay`` sends each record back through the instruction that wrote it, so
+the replayed machine ends with the same counters, completeness and peak.
 
 Instruction batching note: the sweep drivers issue the same transfers under
 both fidelities, in a different order.  CountOnly batches each step as
@@ -26,6 +32,7 @@ peak against M.
 from __future__ import annotations
 
 import enum
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol
@@ -262,10 +269,6 @@ class Machine:
         if self._footprint > self.max_footprint:
             self.max_footprint = self._footprint
 
-    def _emit(self, rec: str) -> None:
-        if self.trace is not None:
-            self.trace.append(rec)
-
     @property
     def footprint(self) -> int:
         return self._footprint
@@ -337,8 +340,7 @@ class Machine:
             for b in range(lo, hi):
                 self._mem[b] = self._ext[b * B : (b + 1) * B]
         if self.trace is not None:
-            for b in range(lo, hi):
-                self._emit(f"LOAD {b}")
+            self.trace.append(f"LOAD {lo} {hi}")
 
     def allocate(self, block_id: int) -> None:
         self.allocate_range(block_id, block_id + 1)
@@ -355,13 +357,14 @@ class Machine:
             for b in range(lo, hi):
                 self._mem[b] = [0] * self.cfg.B
         if self.trace is not None:
-            for b in range(lo, hi):
-                self._emit(f"ALLOC {b}")
+            self.trace.append(f"ALLOC {lo} {hi}")
 
     def evict(self, block_id: int, write_back: bool = False) -> None:
         self.evict_range(block_id, block_id + 1, write_back)
 
     def evict_range(self, lo: int, hi: int, write_back: bool = False) -> None:
+        if lo >= hi:  # a reversed range would count negative transfers
+            raise MachineError(f"bad block range [{lo},{hi})")
         if not self._resident.covers(lo, hi):
             raise NotResident(f"some block of [{lo},{hi}) not resident")
         n = hi - lo
@@ -389,9 +392,7 @@ class Machine:
             for b in range(lo, hi):
                 self._mem.pop(b, None)
         if self.trace is not None:
-            wb = 1 if write_back else 0
-            for b in range(lo, hi):
-                self._emit(f"EVICT {b} {wb}")
+            self.trace.append(f"EVICT {lo} {hi} {int(bool(write_back))}")
 
     def shrink(self, block_id: int, keep_from: int) -> None:
         """Drop the first keep_from elements of a resident block (no transfer).
@@ -406,7 +407,8 @@ class Machine:
             raise MachineError(f"shrink offset {keep_from} not in [{cur},{self.cfg.B}]")
         self._footprint -= keep_from - cur
         self._kept[block_id] = keep_from
-        self._emit(f"SHRINK {block_id} {keep_from}")
+        if self.trace is not None:
+            self.trace.append(f"SHRINK {block_id} {keep_from}")
 
     def _addr_resident(self, block: int, offset: int) -> bool:
         return block in self._resident and offset >= self._kept.get(block, 0)
@@ -443,7 +445,7 @@ class Machine:
             self._out_partial[ob] = filled
         self._evaluated += 1
         if self.trace is not None:
-            self._emit("EVAL " + " ".join(str(c) for c in x))
+            self.trace.append("EVAL " + " ".join(map(str, x)))
 
     def eval_run(self, start_pos: int, count: int) -> None:
         """Bulk-evaluate `count` vertices at consecutive output positions.
@@ -452,6 +454,11 @@ class Machine:
         and must advance each touched block exactly from its current
         watermark.  CountOnly only: no values are computed and input residency
         is not checked, so a Full machine refuses the instruction.
+
+        No sweep issues it (outputs stream through stream_out).  It stays
+        because the benchmark harness (perfbench/layers.py) wraps it by
+        name, so it can only go with a change to the benchmark itself
+        (ROADMAP item 1).
         """
         if self._ext is not None:
             raise MachineError("eval_run is a CountOnly fast path; Full runs use eval_stencil")
@@ -460,16 +467,21 @@ class Machine:
         if not self._resident.covers(first, last + 1):
             raise MissingOutputSlot(f"output blocks [{first},{last}] not resident")
         self._fill_output(start_pos, count, "eval_run")
-        self._emit(f"EVALRUN {start_pos} {count}")
+        if self.trace is not None:
+            self.trace.append(f"EVALRUN {start_pos} {count}")
 
     def stream_out(self, start_pos: int, count: int) -> None:
         """Evaluate a run of output positions, streaming the blocks through.
 
         Equivalent to: per touched block, allocate it, fill it, and evict it
         with write-back as soon as it is complete; a trailing partial block
-        stays resident.  At most one extra block is held at any instant, so
-        the footprint stays within entry + B.  Counts match the scalar
-        sequence exactly.
+        stays resident.  Counts match that scalar sequence exactly.
+
+        Peak charge: the entry footprint when the run stays inside an entry
+        block that is already open, else entry + B.  That is B above the
+        scalar sequence when the entry block is open and the run reaches a
+        second block: the scalar sequence evicts the entry block before it
+        allocates the next one, so it peaks at the entry footprint.
         """
         if self._ext is not None:
             raise MachineError("stream_out is a CountOnly fast path; Full runs use scalars")
@@ -500,15 +512,7 @@ class Machine:
             self._resident.add(last, last + 1)
             self._footprint += B
         if self.trace is not None:
-            pos = start_pos
-            for b in range(first, last + 1):
-                if b != first or not entry_open:
-                    self._emit(f"ALLOC {b}")
-                upto = min(end_pos, (b + 1) * B)
-                self._emit(f"EVALRUN {pos} {upto - pos}")
-                pos = upto
-                if b != last or closes_last:
-                    self._emit(f"EVICT {b} 1")
+            self.trace.append(f"STREAM {start_pos} {count}")
 
     # -- reporting ------------------------------------------------------------
 
@@ -539,60 +543,39 @@ class Machine:
         return self.stats(), complete
 
 
+# trace record -> (the instruction it replays through, its argument count;
+# None: one vertex of the grid's dimension)
+_REPLAY = {
+    "LOAD": ("load_range", 2),
+    "ALLOC": ("allocate_range", 2),
+    "EVICT": ("evict_range", 3),
+    "SHRINK": ("shrink", 2),
+    "EVAL": ("eval_stencil", None),
+    "EVALRUN": ("eval_run", 2),
+    "STREAM": ("stream_out", 2),
+}
+_INT = re.compile(r"-?[0-9]+")
+
+
 def replay(trace: Iterable[str], cfg: MachineConfig, space: AddressSpace,
            fidelity: Fidelity = Fidelity.COUNT_ONLY) -> Machine:
-    """Re-execute a trace dump on a fresh machine and return it."""
-    m = Machine(cfg, space, fidelity)
-    for line in trace:
-        parts = line.split()
-        if not parts:
-            continue
-        op = parts[0]
-        if op == "LOAD":
-            m.load(int(parts[1]))
-        elif op == "ALLOC":
-            m.allocate(int(parts[1]))
-        elif op == "EVICT":
-            m.evict(int(parts[1]), bool(int(parts[2])))
-        elif op == "SHRINK":
-            m.shrink(int(parts[1]), int(parts[2]))
-        elif op == "EVAL":
-            m.eval_stencil(tuple(int(c) for c in parts[1:]))
-        elif op == "EVALRUN":
-            m.eval_run(int(parts[1]), int(parts[2]))
-        else:
-            raise MachineError(f"unknown trace record {line!r}")
-    return m
+    """Re-execute a trace dump on a fresh machine and return it.
 
-
-class FlatSpace:
-    """Minimal row-major address space: input blocks then output blocks.
-
-    Exists for machine unit tests and hand-written traces; real runs use the
-    banded layouts from emstencil.layouts.
+    Each record is checked (known op, its argument count, integer arguments)
+    and then replayed through the instruction that wrote it.
     """
-
-    def __init__(self, grid: GridSpec, stencil: StencilSpec, B: int):
-        from emstencil.grid import linearize, vertex_count
-
-        self.grid = grid
-        self.stencil = stencil
-        self.B = B
-        self.n_vertices = vertex_count(grid)
-        per_layer = (self.n_vertices + B - 1) // B
-        self.n_input_blocks = per_layer
-        self.n_blocks = 2 * per_layer
-        self._linearize = linearize
-
-    def block_occupancy(self, block_id: int) -> int:
-        rel = block_id % self.n_input_blocks
-        if rel == self.n_input_blocks - 1:
-            return self.n_vertices - (self.n_input_blocks - 1) * self.B
-        return self.B
-
-    def address_of(self, x: Vertex, layer: str) -> tuple[int, int]:
-        idx = self._linearize(self.grid, x)
-        b, off = divmod(idx, self.B)
-        if layer == "out":
-            b += self.n_input_blocks
-        return b, off
+    m = Machine(cfg, space, fidelity)
+    for lineno, line in enumerate(trace, 1):
+        op, *args = line.split() or ("",)
+        if not op:
+            continue
+        name, arity = _REPLAY.get(op, ("", -1))
+        vertex = arity is None
+        if len(args) != (space.grid.n if vertex else arity) or not all(map(_INT.fullmatch, args)):
+            raise MachineError(f"trace line {lineno}: bad record {line!r}")
+        values = [int(a) for a in args]
+        if vertex:
+            m.eval_stencil(tuple(values))
+        else:
+            getattr(m, name)(*values)
+    return m

@@ -9,8 +9,8 @@ from emstencil.layouts import (
     closed_form_m,
     hexagonal_projection,
     sweep_shape_size,
-    working_band_tiling,
 )
+from emstencil.layouts.prism import AxisColumnGeometry, Diag2DGeometry
 from emstencil.machine import MachineConfig
 
 ALL_KINDS = list(LayoutKind)
@@ -302,8 +302,7 @@ def test_row2d_row_major_addresses_single_band():
 
 def test_working_band_tiling_column3d_example():
     g = GridSpec((8, 990, 990))
-    bands = working_band_tiling(LayoutKind.COLUMN_POLE_3D, g, StencilSpec(1),
-                                MachineConfig(M=2048, B=4), m=99)
+    bands = AxisColumnGeometry(g, StencilSpec(1), MachineConfig(M=2048, B=4), 99).working_bands()
     per_axis = -(-(990 - 2) // 97)
     assert per_axis == -(-990 // 97) == 11
     assert len(bands) == per_axis * per_axis
@@ -311,8 +310,7 @@ def test_working_band_tiling_column3d_example():
 
 def test_working_band_tiling_diag_per_row_coverage():
     g = GridSpec((1000, 1000))
-    bands = working_band_tiling(LayoutKind.DIAGONAL_2D, g, StencilSpec(1),
-                                MachineConfig(M=4096, B=4), m=100)
+    bands = Diag2DGeometry(g, StencilSpec(1), MachineConfig(M=4096, B=4), 100).working_bands()
     # per grid row, the number of bands covering it matches the per-row
     # estimate ceil(k1/(2m-2s)) + 1 = 7
     m, s = 100, 1
@@ -338,8 +336,8 @@ def test_hex_sweep_shape_size_near_leading():
 
 def test_working_band_tiling_single_band():
     g = GridSpec((30, 10))
-    bands = working_band_tiling(LayoutKind.COLUMN_2D, g, StencilSpec(1),
-                                MachineConfig(M=256, B=4))
+    m = sweep_shape_size(LayoutKind.COLUMN_2D, 2, 1, 256, 4).m
+    bands = AxisColumnGeometry(g, StencilSpec(1), MachineConfig(M=256, B=4), m).working_bands()
     assert len(bands) == 1
 
 

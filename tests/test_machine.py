@@ -8,7 +8,6 @@ from emstencil.machine import (
     AlreadyResident,
     CapacityExceeded,
     Fidelity,
-    FlatSpace,
     IntervalSet,
     Machine,
     MachineConfig,
@@ -17,6 +16,7 @@ from emstencil.machine import (
     NotResident,
     replay,
 )
+from flat_space import FlatSpace
 
 
 # ---------------------------------------------------------------- IntervalSet
@@ -246,8 +246,28 @@ def test_trace_replay_identical():
     m2 = replay(trace, MachineConfig(M=6, B=3), space)
     stats2, complete2 = m2.run_report()
     assert stats == stats2 and complete == complete2
-    assert trace[0] == "LOAD 0" and trace[1] == "ALLOC 1"
-    assert trace[-1] == "EVICT 0 0"
+    assert m2.max_footprint == m.max_footprint
+    assert trace[0] == "LOAD 0 1" and trace[1] == "ALLOC 1 2"
+    assert trace[-1] == "EVICT 0 1 0"
+
+
+@pytest.mark.parametrize("record", ["LOAD", "LOAD x", "LOAD 0 1 2", "EVICT 0 1"])
+def test_replay_rejects_malformed_records(record):
+    # trace files come from outside the program: a bad record must name its
+    # line instead of escaping as IndexError/ValueError or replaying silently
+    with pytest.raises(em.MachineError, match=f"line 2: bad record '{record}'"):
+        replay(["LOAD 0 1", record], MachineConfig(M=6, B=3), minimal_space())
+
+
+def test_evict_range_rejects_empty_range():
+    # a reversed range passes the residency check; it must not move the
+    # counters or the footprint backwards
+    m = Machine(MachineConfig(M=6, B=3), minimal_space(), Fidelity.COUNT_ONLY)
+    m.load(0)
+    for lo, hi in ((1, 1), (1, 0)):
+        with pytest.raises(em.MachineError, match="bad block range"):
+            m.evict_range(lo, hi, write_back=True)
+    assert m.stats() == em.IoStats(1, 0, 0, 0, 0) and m.footprint == 3
 
 
 def test_footprint_never_exceeds_m():

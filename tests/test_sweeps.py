@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -15,6 +17,7 @@ from emstencil.sweeps import (
     run_oracle_compare,
     run_sweep,
 )
+from flat_space import FlatSpace
 
 CONFIGS = {
     LayoutKind.ROW_2D: ((24, 30), 200, 4, 1),
@@ -63,15 +66,46 @@ def build(kind, sides, M, B, s):
 
 
 def run_both(layout, seed=7):
-    """(CountOnly machine, Full machine) after sweeping the layout under each."""
-    mc = Machine(layout.cfg, layout, Fidelity.COUNT_ONLY)
+    """(CountOnly machine, Full machine) after sweeping the layout under each,
+    both traced."""
+    mc = Machine(layout.cfg, layout, Fidelity.COUNT_ONLY, trace=[])
     run_sweep(make_plan(layout), mc, layout)
-    mf = Machine(layout.cfg, layout, Fidelity.FULL)
+    mf = Machine(layout.cfg, layout, Fidelity.FULL, trace=[])
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 1 << 62, size=layout.grid.sides, dtype=np.uint64)
     materialize_input(mf, layout, values)
     run_sweep(make_plan(layout), mf, layout)
     return mc, mf
+
+
+@cache
+def golden_run(kind, s):
+    """(layout, CountOnly machine, Full machine) of one GOLDEN config."""
+    sides, M, B, _ = (CONFIGS if s == 1 else CONFIGS_S2)[kind]
+    layout = build(kind, sides, M, B, s)
+    return (layout, *run_both(layout))
+
+
+def input_transfers(trace, n_input_blocks) -> Counter:
+    """Per-block counts of (op, block, wb) over the LOAD and EVICT range
+    records of a trace, for input blocks only (wb is None for LOAD)."""
+    counts: Counter = Counter()
+    for rec in trace:
+        if rec.startswith(("LOAD ", "EVICT ")):
+            op, *args = rec.split()
+            wb = int(args[2]) if op == "EVICT" else None
+            for block in range(int(args[0]), min(int(args[1]), n_input_blocks)):
+                counts[op, block, wb] += 1
+    return counts
+
+
+def assert_same_input_transfers(layout, mc, mf):
+    """Both fidelities move every input block the same way, equally often."""
+    counted = input_transfers(mc.trace, layout.n_input_blocks)
+    full = input_transfers(mf.trace, layout.n_input_blocks)
+    for op, block, wb in sorted(counted.keys() | full.keys()):
+        n_c, n_f = counted[op, block, wb], full[op, block, wb]
+        assert n_c == n_f, f"{op} of input block {block} (wb={wb}): CountOnly {n_c}, Full {n_f}"
 
 
 @pytest.mark.parametrize("kind", list(CONFIGS))
@@ -121,7 +155,7 @@ def test_trace_replay_reproduces_stats(kind):
     m2 = replay(trace, cfg, layout)
     stats2, ok2 = m2.run_report()
     assert stats == stats2 and ok == ok2
-    assert m2.max_footprint <= M
+    assert m2.max_footprint == m.max_footprint <= M
 
 
 def test_single_band_no_noncompulsory():
@@ -170,7 +204,6 @@ def test_row_beats_nothing_column_wins():
 def test_full_torus_fit_zero_noncompulsory_machine_level():
     # everything fits: only cold misses (machine-level, no banding involved)
     from emstencil.grid import Topology, iter_vertices
-    from emstencil.machine import FlatSpace
 
     g = GridSpec((4, 4), Topology.TORUS)
     space = FlatSpace(g, StencilSpec(1), B=4)
@@ -202,9 +235,7 @@ def test_sweep_correctness_s2(kind, s):
 
 @pytest.mark.parametrize("kind,s", list(GOLDEN))
 def test_golden_counts(kind, s):
-    sides, M, B, _ = (CONFIGS if s == 1 else CONFIGS_S2)[kind]
-    layout = build(kind, sides, M, B, s)
-    mc, mf = run_both(layout)
+    layout, mc, mf = golden_run(kind, s)
     m, stats, peak_count_only, peak_full = GOLDEN[kind, s]
     assert layout.shape.m == m
     assert mc.stats() == stats
@@ -213,15 +244,31 @@ def test_golden_counts(kind, s):
     assert mf.max_footprint == peak_full
 
 
+@pytest.mark.parametrize("kind,s", list(GOLDEN))
+def test_golden_traces_replay_to_the_same_state(kind, s):
+    # a trace is the instruction stream: replaying it re-executes the same
+    # instructions, so counters, completeness and peak all come back; a Full
+    # trace replays under both fidelities
+    layout, mc, mf = golden_run(kind, s)
+    assert_same_input_transfers(layout, mc, mf)
+    for traced, fidelities in ((mc, [Fidelity.COUNT_ONLY]),
+                               (mf, [Fidelity.COUNT_ONLY, Fidelity.FULL])):
+        for fidelity in fidelities:
+            where = f"{traced.fidelity.value} trace under {fidelity.value}"
+            replayed = replay(traced.trace, layout.cfg, layout, fidelity)
+            assert replayed.run_report() == traced.run_report(), where
+            assert replayed.max_footprint == traced.max_footprint, where
+
+
 def test_count_only_trace_does_not_replay_under_full():
-    # bulk EVALRUN records carry no values: a Full machine must refuse them
+    # bulk STREAM records carry no values: a Full machine must refuse them
     # instead of reporting outputs it never computed as complete
     sides, M, B, s = CONFIGS[LayoutKind.DIAGONAL_2D]
     cfg = MachineConfig(M=M, B=B)
     layout = build_layout(LayoutKind.DIAGONAL_2D, GridSpec(sides), StencilSpec(s), cfg)
     trace: list[str] = []
     run_sweep(make_plan(layout), Machine(cfg, layout, Fidelity.COUNT_ONLY, trace=trace), layout)
-    assert any(rec.startswith("EVALRUN ") for rec in trace)
+    assert any(rec.startswith("STREAM ") for rec in trace)
     with pytest.raises(MachineError):
         replay(trace, cfg, layout, Fidelity.FULL)
 
@@ -278,5 +325,6 @@ def test_fidelities_agree_on_random_configs(config):
     assert mc.max_footprint <= M and mf.max_footprint <= M
     assert stats_c.compulsory_reads == layout.n_input_blocks
     assert stats_c.compulsory_writes == layout.n_blocks - layout.n_input_blocks
+    assert_same_input_transfers(layout, mc, mf)
     eq, mismatch = run_oracle_compare(mf, layout)
     assert eq, f"first mismatch at {mismatch}"
